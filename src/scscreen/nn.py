@@ -17,6 +17,11 @@ tensors, matching the encoder; internally activations run channel-last
 (batch, 7, 32, C) so the im2col matrices feed BLAS without extra transposes.
 Convolution weights are (c_in, c_out, 3, 3); dense weights are
 (fan_in, fan_out).
+
+The forward pass keeps each conv layer's input activation and rectifier
+mask, not its patch matrix. The backward pass builds one patch matrix per
+layer from the output gradient and reads both the weight gradient and the
+input gradient (a transposed convolution) from it.
 """
 
 from __future__ import annotations
@@ -168,9 +173,6 @@ class ModelParams:
             self.head_b.copy(),
         )
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.arrays())
-
 
 @dataclass
 class AdamState:
@@ -180,7 +182,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    learning_rate: float = 1e-4  # recorded default; adam_step's lr argument wins
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
@@ -208,12 +209,11 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return ModelParams(cfg, conv_w, conv_b, dense_w, dense_b, head_w, head_b)
 
 
-def init_adam(params: ModelParams, learning_rate: float = 1e-4) -> AdamState:
+def init_adam(params: ModelParams) -> AdamState:
     arrays = params.arrays()
     return AdamState(
         m=[np.zeros_like(a) for a in arrays],
         v=[np.zeros_like(a) for a in arrays],
-        learning_rate=learning_rate,
     )
 
 
@@ -233,13 +233,6 @@ def _windows(padded: np.ndarray) -> np.ndarray:
     )
 
 
-def _pad_hw(x: np.ndarray) -> np.ndarray:
-    n, h, w, c = x.shape
-    out = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
-    out[:, 1:-1, 1:-1, :] = x
-    return out
-
-
 def _ws_buf(ws: dict | None, key: tuple, shape: tuple, dtype, zeroed: bool = False):
     """Scratch array reused across batches when a workspace dict is given.
 
@@ -257,15 +250,18 @@ def _ws_buf(ws: dict | None, key: tuple, shape: tuple, dtype, zeroed: bool = Fal
     return buf
 
 
-def _im2col(x: np.ndarray, ws: dict | None = None, tag: int = 0) -> np.ndarray:
-    """(n, H, W, C) -> (n*H*W, 9*C) patch matrix, feature order (ky, kx, c)."""
+def _im2col(x: np.ndarray, ws: dict | None = None) -> np.ndarray:
+    """(n, H, W, C) -> (n*H*W, 9*C) patch matrix, feature order (ky, kx, c).
+
+    With a workspace, every call of one shape (each layer, forward and
+    backward) shares one pad and one patch buffer: the result is valid only
+    until the next call. Only the pad interior is ever written, so its zero
+    border survives reuse.
+    """
     n, h, w, c = x.shape
-    if ws is None:
-        return _windows(_pad_hw(x)).reshape(n * h * w, KERNEL * KERNEL * c)
-    # pooled path: the pad buffer keeps its zero border between uses
-    pad = _ws_buf(ws, ("pad", tag), (n, h + 2, w + 2, c), x.dtype, zeroed=True)
+    pad = _ws_buf(ws, ("pad",), (n, h + 2, w + 2, c), x.dtype, zeroed=True)
     pad[:, 1:-1, 1:-1, :] = x
-    cols = _ws_buf(ws, ("cols", tag), (n * h * w, KERNEL * KERNEL * c), x.dtype)
+    cols = _ws_buf(ws, ("cols",), (n * h * w, KERNEL * KERNEL * c), x.dtype)
     np.copyto(cols.reshape(n, h, w, KERNEL, KERNEL, c), _windows(pad))
     return cols
 
@@ -283,8 +279,8 @@ def _check_batch(x: np.ndarray, dtype) -> np.ndarray:
 
 
 def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict | None = None):
-    """Run the network, keeping the per-layer patch matrices and rectifier
-    masks needed for the backward pass."""
+    """Run the network, keeping what the backward pass needs: each conv
+    layer's input activation (n, 7, 32, c_in) and rectifier mask."""
     n = x_nhwc.shape[0]
     act = x_nhwc
     conv_cache = []
@@ -294,7 +290,7 @@ def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict | None = N
             raise ShapeMismatchError(
                 f"layer expects {c_in} input channels, got {act.shape[3]}"
             )
-        cols = _im2col(act, ws, i)  # (n*HW, 9*c_in)
+        cols = _im2col(act, ws)  # (n*HW, 9*c_in)
         w_flat = w.transpose(2, 3, 0, 1).reshape(KERNEL * KERNEL * c_in, c_out)
         pre = _ws_buf(ws, ("act", i), (cols.shape[0], c_out), cols.dtype)
         np.matmul(cols, w_flat, out=pre)
@@ -302,8 +298,8 @@ def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict | None = N
         mask = _ws_buf(ws, ("mask", i), pre.shape, np.bool_)
         np.greater(pre, 0.0, out=mask)
         np.maximum(pre, 0.0, out=pre)
+        conv_cache.append((act, mask))
         act = pre.reshape(n, H_GRID, W_GRID, c_out)
-        conv_cache.append((cols, mask))
     g = act.mean(axis=(1, 2))  # (n, C) global average pool
     if params.dense_w is not None:
         pre_d = g @ params.dense_w + params.dense_b
@@ -349,30 +345,27 @@ def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict | No
     conv_grads = []
     for layer in range(len(params.conv_w) - 1, -1, -1):
         w = params.conv_w[layer]
-        cols, mask = conv_cache[layer]
+        x_in, mask = conv_cache[layer]
         c_in, c_out = w.shape[0], w.shape[1]
         dpre_flat *= mask
-        d_w_flat = cols.T @ dpre_flat  # (9*c_in, c_out)
+        # Both gradients come from the output gradient's patch matrix, the
+        # transposed convolution of Dumoulin & Visin (arXiv 1603.07285):
+        # dcols.T @ x_in is the weight gradient of the kernel rotated 180
+        # degrees with in/out swapped, m[(2-ky, 2-kx, co), ci] =
+        # d_w[ci, co, ky, kx], and dcols @ w_rot is the input gradient.
+        dcols = _im2col(dpre_flat.reshape(n, H_GRID, W_GRID, c_out), ws)  # (n*HW, 9*c_out)
+        m = dcols.T @ x_in.reshape(n * N_CELLS, c_in)  # (9*c_out, c_in)
         d_w = np.ascontiguousarray(
-            d_w_flat.reshape(KERNEL, KERNEL, c_in, c_out).transpose(2, 3, 0, 1)
+            m.reshape(KERNEL, KERNEL, c_out, c_in)[::-1, ::-1].transpose(3, 2, 0, 1)
         )
         d_b = dpre_flat.sum(axis=0)
         conv_grads.append((d_w, d_b))
         if layer == 0:
             break
-        # input gradient via column-to-image scatter: nine shifted adds
-        w_flat = w.transpose(2, 3, 0, 1).reshape(KERNEL * KERNEL * c_in, c_out)
-        dcols = _ws_buf(ws, ("dcols",), (n * N_CELLS, KERNEL * KERNEL * c_in), dt)
-        np.matmul(dpre_flat, w_flat.T, out=dcols)
-        dwin = dcols.reshape(n, H_GRID, W_GRID, KERNEL, KERNEL, c_in)
-        dxp = _ws_buf(ws, ("dxp",), (n, H_GRID + 2, W_GRID + 2, c_in), dt)
-        dxp.fill(0)
-        for ky in range(KERNEL):
-            for kx in range(KERNEL):
-                dxp[:, ky : ky + H_GRID, kx : kx + W_GRID, :] += dwin[:, :, :, ky, kx, :]
-        nxt = _ws_buf(ws, ("dpre_next",), (n * N_CELLS, c_in), dt)
-        np.copyto(nxt.reshape(n, H_GRID, W_GRID, c_in), dxp[:, 1:-1, 1:-1, :])
-        dpre_flat = nxt
+        w_rot = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(KERNEL * KERNEL * c_out, c_in)
+        # dcols holds its own copy of dpre_flat, so the GEMM may overwrite it
+        dpre_flat = _ws_buf(ws, ("dpre",), (n * N_CELLS, c_in), dt)
+        np.matmul(dcols, w_rot, out=dpre_flat)
 
     grads = []
     for d_w, d_b in reversed(conv_grads):
@@ -537,7 +530,7 @@ def train(
     x = np.ascontiguousarray(x, dtype=model_cfg.np_dtype)
 
     params = init_params(model_cfg)
-    state = init_adam(params, train_cfg.learning_rate)
+    state = init_adam(params)
     shuffle_rng = np.random.default_rng(train_cfg.shuffle_seed)
     n = len(samples)
     trace: list[float] = []

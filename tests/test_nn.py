@@ -1,5 +1,7 @@
 """Network forward/backward against hand oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,16 @@ class TestTcTransform:
         assert np.isclose(out[1], np.log(4.1), rtol=1e-12)
 
 
+def random_comps(rng, n):
+    pool = ["Nb", "Fe", "O", "Cu", "H", "Ba", "La", "Se", "Ti", "Si"]
+    comps = []
+    for _ in range(n):
+        k = int(rng.integers(1, 4))
+        syms = rng.choice(pool, size=k, replace=False)
+        comps.append(normalize({s: float(w) for s, w in zip(syms, rng.random(k) + 0.1)}))
+    return comps
+
+
 def _gradcheck(cfg, head, loss_kind, n_batch, seed, h=1e-4, tol=1e-4):
     """Central finite differences over every parameter of every array."""
     rng = np.random.default_rng(seed)
@@ -292,13 +304,7 @@ def _gradcheck(cfg, head, loss_kind, n_batch, seed, h=1e-4, tol=1e-4):
     for a in params.arrays():
         if a.ndim == 1:
             a[...] = rng.normal(0.0, 0.05, a.shape)
-    pool = ["Nb", "Fe", "O", "Cu", "H", "Ba", "La", "Se", "Ti", "Si"]
-    comps = []
-    for _ in range(n_batch):
-        k = int(rng.integers(1, 4))
-        syms = rng.choice(pool, size=k, replace=False)
-        comps.append(normalize({s: float(w) for s, w in zip(syms, rng.random(k) + 0.1)}))
-    batch = encode_ptable_batch(comps)
+    batch = encode_ptable_batch(random_comps(rng, n_batch))
     if loss_kind is Loss.SMOOTH_L1:
         targets = rng.normal(0.0, 1.5, n_batch)
         loss_fn = smooth_l1_loss
@@ -379,6 +385,29 @@ class TestBackwardStructure:
         g2 = backward(params, twice, np.concatenate([targets, targets]), Loss.SMOOTH_L1)
         for a, b in zip(g1, g2):
             assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    def test_pooled_backward_equals_public_backward(self):
+        # the training loop shares one workspace across layers, forward and
+        # backward, and batches; reused pad and patch buffers must not leak
+        # one use into the next
+        cfg = tiny_cfg(conv_layers=3, channels_per_layer=5, dense_hidden=4, seed=5)
+        params = init_params(cfg)
+        rng = np.random.default_rng(8)
+        for a in params.arrays():
+            if a.ndim == 1:
+                a[...] = rng.normal(0.0, 0.05, a.shape)
+        ws = {}
+        for _ in range(2):
+            batch = encode_ptable_batch(random_comps(rng, 4))
+            targets = rng.normal(0.0, 1.5, 4)
+            x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
+            raw, cache = nn._forward_cached(params, x, ws)
+            _, dout = smooth_l1_loss(raw, targets)
+            pooled = nn._backward_cached(params, cache, dout, ws)
+            public = backward(params, batch, targets, Loss.SMOOTH_L1)
+            assert len(pooled) == len(public)
+            for a, b in zip(pooled, public):
+                assert np.array_equal(a, b)
 
 
 class TestAdam:
@@ -559,6 +588,19 @@ class TestPredict:
     def test_empty_input(self):
         params = init_params(tiny_cfg())
         assert predict(params, []).shape == (0,)
+
+    def test_peak_memory_per_row_is_bounded(self):
+        # the forward keeps layer inputs and masks; caching a 9*C-wide patch
+        # matrix per layer as well would take about 2.2 MB per row
+        params = init_params(ModelConfig())
+        comps = random_comps(np.random.default_rng(0), 500)
+        tracemalloc.start()
+        try:
+            predict(params, comps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(comps) < 1.2e6, f"{peak / len(comps) / 1e6:.2f} MB per row"
 
     def test_mode_mismatch(self):
         params = init_params(tiny_cfg())
