@@ -128,9 +128,13 @@ class Manifest:
         self.data["config"] = echo
 
     def flush(self) -> None:
-        with open(self.path, "w") as f:
+        """Write to a temporary file beside the manifest, then rename it over
+        the manifest, so a crash mid-write leaves the previous one whole."""
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as f:
             json.dump(self.data, f, indent=2, sort_keys=True)
             f.write("\n")
+        os.replace(tmp, self.path)
 
     def finish(self, *outputs: str) -> None:
         self.data["outputs"] = sorted(outputs)

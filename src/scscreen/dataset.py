@@ -21,7 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -397,9 +397,3 @@ def write_records_csv(records: Sequence[MaterialRecord], path) -> None:
                     r.flagged_reason or "",
                 ]
             )
-
-
-def apply_filter(
-    records: Iterable[MaterialRecord], predicate: Callable[[MaterialRecord], bool]
-) -> list[MaterialRecord]:
-    return [r for r in records if predicate(r)]

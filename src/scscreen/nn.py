@@ -22,6 +22,13 @@ The forward pass keeps each conv layer's input activation and rectifier
 mask, not its patch matrix. The backward pass builds one patch matrix per
 layer from the output gradient and reads both the weight gradient and the
 input gradient (a transposed convolution) from it.
+
+Scratch arrays come from a workspace dict that lives for one call (one
+`forward`, `backward` or `predict`, or one `train` run) and is dropped when
+the call returns; no view into it ever escapes the call. `forward` and
+`predict` run their rows through the network in fixed chunks of
+_INFER_ROWS, all on one workspace, so their peak memory does not grow with
+the number of rows.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .ptable import TENSOR_SHAPE, encode_ptable_batch
 H_GRID, W_GRID = 7, 32
 N_CELLS = H_GRID * W_GRID  # global-average-pool divisor
 KERNEL = 3
+_INFER_ROWS = 32  # rows per inference chunk; TrainConfig's default batch size
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -233,30 +241,30 @@ def _windows(padded: np.ndarray) -> np.ndarray:
     )
 
 
-def _ws_buf(ws: dict | None, key: tuple, shape: tuple, dtype, zeroed: bool = False):
-    """Scratch array reused across batches when a workspace dict is given.
+def _ws_buf(ws: dict, key: tuple, shape: tuple, dtype, zeroed: bool = False):
+    """Scratch array of `shape` from the workspace, keyed on `key`, the
+    trailing dims and the dtype.
 
-    The training loop allocates tens of megabytes per batch otherwise; the
-    buffers it hands out are only valid until the same key is requested
-    again, which is why the public entry points never pool.
+    A buffer with at least as many leading rows is reused through a view of
+    its first rows; a larger request replaces it. The result is valid only
+    until the same key is requested again, which is why a workspace lives
+    for one call and no view into it escapes that call.
     """
-    if ws is None:
-        return np.zeros(shape, dtype) if zeroed else np.empty(shape, dtype)
-    full = key + (shape, np.dtype(dtype).char)
+    full = key + (shape[1:], np.dtype(dtype).char)
     buf = ws.get(full)
-    if buf is None:
+    if buf is None or buf.shape[0] < shape[0]:
         buf = np.zeros(shape, dtype) if zeroed else np.empty(shape, dtype)
         ws[full] = buf
-    return buf
+    return buf[: shape[0]]
 
 
-def _im2col(x: np.ndarray, ws: dict | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, ws: dict) -> np.ndarray:
     """(n, H, W, C) -> (n*H*W, 9*C) patch matrix, feature order (ky, kx, c).
 
-    With a workspace, every call of one shape (each layer, forward and
-    backward) shares one pad and one patch buffer: the result is valid only
+    Every call with C channels (each layer, forward and backward, and every
+    chunk) shares one pad and one patch buffer: the result is valid only
     until the next call. Only the pad interior is ever written, so its zero
-    border survives reuse.
+    border survives reuse, also through a view of fewer rows.
     """
     n, h, w, c = x.shape
     pad = _ws_buf(ws, ("pad",), (n, h + 2, w + 2, c), x.dtype, zeroed=True)
@@ -266,7 +274,7 @@ def _im2col(x: np.ndarray, ws: dict | None = None) -> np.ndarray:
     return cols
 
 
-def _check_batch(x: np.ndarray, dtype) -> np.ndarray:
+def _check_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != TENSOR_SHAPE:
         raise ShapeMismatchError(
@@ -275,10 +283,15 @@ def _check_batch(x: np.ndarray, dtype) -> np.ndarray:
         )
     if x.shape[0] == 0:
         raise ShapeMismatchError("batch is empty")
-    return x.astype(dtype, copy=False)
+    return x
 
 
-def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict | None = None):
+def _nhwc(batch: np.ndarray, dtype) -> np.ndarray:
+    """(n, 4, 7, 32) -> contiguous channel-last (n, 7, 32, 4) of `dtype`."""
+    return np.ascontiguousarray(batch.transpose(0, 2, 3, 1), dtype=dtype)
+
+
+def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict):
     """Run the network, keeping what the backward pass needs: each conv
     layer's input activation (n, 7, 32, c_in) and rectifier mask."""
     n = x_nhwc.shape[0]
@@ -312,15 +325,36 @@ def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict | None = N
     return raw, (n, g, mask_d, h, conv_cache)
 
 
-def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Raw head outputs for a (n, 4, 7, 32) batch: regression values in the
-    transformed target space, or logits."""
-    x = _check_batch(batch, params.config.np_dtype)
-    raw, _ = _forward_cached(params, np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
+def _forward_chunks(
+    params: ModelParams, n: int, chunk: Callable[[int, int], np.ndarray]
+) -> np.ndarray:
+    """Raw head outputs of n rows, forwarded _INFER_ROWS at a time through
+    one workspace; `chunk(lo, hi)` returns rows lo:hi as a channel-last
+    batch of the model dtype. Each chunk's cache is dropped at once."""
+    raw = np.empty(n, dtype=params.config.np_dtype)
+    ws: dict = {}
+    for lo in range(0, n, _INFER_ROWS):
+        hi = min(lo + _INFER_ROWS, n)
+        # A short last chunk reaches back over rows already done, to the
+        # first multiple of 4 at most _INFER_ROWS rows before the end, and
+        # keeps only its new rows. A short chunk would send narrow layers'
+        # products to BLAS small-matrix kernels, and the head's
+        # matrix-vector product takes rows in groups of four; either way a
+        # row would round differently from the same row in one whole call.
+        start = lo if hi - lo == _INFER_ROWS else max(0, n - _INFER_ROWS + 3) // 4 * 4
+        raw[lo:hi] = _forward_cached(params, chunk(start, hi), ws)[0][lo - start :]
     return raw
 
 
-def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict | None = None) -> list:
+def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """Raw head outputs for a (n, 4, 7, 32) batch: regression values in the
+    transformed target space, or logits."""
+    x = _check_batch(batch)
+    dt = params.config.np_dtype
+    return _forward_chunks(params, x.shape[0], lambda lo, hi: _nhwc(x[lo:hi], dt))
+
+
+def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> list:
     """Gradients in arrays() order given d(loss)/d(raw output)."""
     n, g, mask_d, h, conv_cache = cache
     dt = params.head_w.dtype
@@ -380,15 +414,16 @@ def backward(
     """Exact gradients of the mean loss w.r.t. every parameter, in
     arrays() order. Targets live in the same space as forward's raw
     outputs (transformed kelvin for regression, {0,1} labels for logits)."""
-    x = _check_batch(batch, params.config.np_dtype)
-    raw, cache = _forward_cached(params, np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
+    ws: dict = {}
+    x = _nhwc(_check_batch(batch), params.config.np_dtype)
+    raw, cache = _forward_cached(params, x, ws)
     if loss is Loss.SMOOTH_L1:
         _, dout = smooth_l1_loss(raw, targets)
     elif loss is Loss.BCE_LOGIT:
         _, dout = bce_logit_loss(raw, targets)
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    return _backward_cached(params, cache, dout)
+    return _backward_cached(params, cache, dout, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +561,15 @@ def train(
         targets = tc_transform(tc, model_cfg.tc_transform)
     else:
         targets = (tc > label_threshold).astype(np.float64)
-    x = encode_ptable_batch(comps).transpose(0, 2, 3, 1)
-    x = np.ascontiguousarray(x, dtype=model_cfg.np_dtype)
+    n = len(samples)
+    x = np.empty((n, H_GRID, W_GRID, TENSOR_SHAPE[0]), model_cfg.np_dtype)
+    for lo in range(0, n, _INFER_ROWS):
+        rows = encode_ptable_batch(comps[lo : lo + _INFER_ROWS])
+        x[lo : lo + _INFER_ROWS] = rows.transpose(0, 2, 3, 1)
 
     params = init_params(model_cfg)
     state = init_adam(params)
     shuffle_rng = np.random.default_rng(train_cfg.shuffle_seed)
-    n = len(samples)
     trace: list[float] = []
     ws: dict = {}  # scratch buffers shared across steps
     for epoch in range(train_cfg.epochs):
@@ -568,7 +605,11 @@ def predict(
         raise ShapeMismatchError(f"params were trained for {head.name}, not {mode.name}")
     if len(compositions) == 0:
         return np.zeros(0)
-    raw = forward(params, encode_ptable_batch(compositions)).astype(np.float64)
+    comps = list(compositions)
+    dt = params.config.np_dtype
+    raw = _forward_chunks(
+        params, len(comps), lambda lo, hi: _nhwc(encode_ptable_batch(comps[lo:hi]), dt)
+    ).astype(np.float64)
     if head is Head.REGRESSION:
         kelvin = inverse_tc_transform(raw, params.config.tc_transform)
         return np.maximum(kelvin, 0.0)

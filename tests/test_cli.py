@@ -1,9 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from scscreen import cli
 from scscreen.baseline import FEATURE_NAMES, load_element_features
 from scscreen.cli import main
 from scscreen.nn import load_checkpoint
@@ -118,6 +120,23 @@ class TestEncode:
         main(["encode", "--formula", "MgB2", "--out", str(a)])
         main(["encode", "--formula", "MgB2", "--out", str(b)])
         assert (a / "tensor.csv").read_bytes() == (b / "tensor.csv").read_bytes()
+
+
+class TestManifest:
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        manifest = cli.Manifest(str(tmp_path), "encode", argparse.Namespace(formula="Nb"))
+        before = (tmp_path / "manifest.json").read_text()
+
+        def dump_then_fail(obj, f, **kwargs):
+            f.write('{"command": "enc')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        manifest.data["status"] = "ok"
+        with pytest.raises(OSError):
+            manifest.flush()
+        assert (tmp_path / "manifest.json").read_text() == before
+        assert json.loads(before)["status"] == "started"
 
 
 class TestDatasetBuild:

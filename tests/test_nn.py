@@ -164,9 +164,11 @@ class TestForwardOracle:
     def test_batch_rows_independent(self):
         params = init_params(ModelConfig(conv_layers=2, channels_per_layer=3, seed=3))
         comps = [normalize(c) for c in ({"Nb": 1.0}, {"Fe": 2.0, "O": 3.0}, {"H": 1.0, "He": 1.0})]
+        # crosses two chunk boundaries and ends in a short chunk
+        comps += random_comps(np.random.default_rng(4), 2 * nn._INFER_ROWS + 5)
         batch = encode_ptable_batch(comps)
         together = forward(params, batch)
-        separate = [forward(params, batch[i : i + 1])[0] for i in range(3)]
+        separate = [forward(params, batch[i : i + 1])[0] for i in range(len(comps))]
         assert np.allclose(together, separate, rtol=1e-6)
 
     def test_shape_errors(self):
@@ -389,7 +391,8 @@ class TestBackwardStructure:
     def test_pooled_backward_equals_public_backward(self):
         # the training loop shares one workspace across layers, forward and
         # backward, and batches; reused pad and patch buffers must not leak
-        # one use into the next
+        # one use into the next, neither through a view of fewer rows (3
+        # after 4) nor when a larger batch replaces them (5)
         cfg = tiny_cfg(conv_layers=3, channels_per_layer=5, dense_hidden=4, seed=5)
         params = init_params(cfg)
         rng = np.random.default_rng(8)
@@ -397,9 +400,9 @@ class TestBackwardStructure:
             if a.ndim == 1:
                 a[...] = rng.normal(0.0, 0.05, a.shape)
         ws = {}
-        for _ in range(2):
-            batch = encode_ptable_batch(random_comps(rng, 4))
-            targets = rng.normal(0.0, 1.5, 4)
+        for rows in (4, 3, 5):
+            batch = encode_ptable_batch(random_comps(rng, rows))
+            targets = rng.normal(0.0, 1.5, rows)
             x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
             raw, cache = nn._forward_cached(params, x, ws)
             _, dout = smooth_l1_loss(raw, targets)
@@ -589,18 +592,21 @@ class TestPredict:
         params = init_params(tiny_cfg())
         assert predict(params, []).shape == (0,)
 
-    def test_peak_memory_per_row_is_bounded(self):
-        # the forward keeps layer inputs and masks; caching a 9*C-wide patch
-        # matrix per layer as well would take about 2.2 MB per row
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # predict runs fixed chunks through one workspace, so its peak is a
+        # constant of the model, not of the call
         params = init_params(ModelConfig())
-        comps = random_comps(np.random.default_rng(0), 500)
-        tracemalloc.start()
-        try:
-            predict(params, comps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / len(comps) < 1.2e6, f"{peak / len(comps) / 1e6:.2f} MB per row"
+        peaks = {}
+        for rows in (250, 4000):
+            comps = random_comps(np.random.default_rng(0), rows)
+            tracemalloc.start()
+            try:
+                predict(params, comps)
+                _, peaks[rows] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] < 32e6, f"{peaks[4000] / 1e6:.1f} MB at 4000 rows"
+        assert abs(peaks[4000] - peaks[250]) < 1e6, f"{peaks[250] / 1e6:.1f} MB at 250 rows"
 
     def test_mode_mismatch(self):
         params = init_params(tiny_cfg())
