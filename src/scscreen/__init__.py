@@ -4,12 +4,13 @@ Subpackages by responsibility:
 
 - formula: chemical-formula parsing and normalized compositions
 - ptable: periodic-table geometry and tensor/one-hot encoders
-- dataset: ingestion, cleaning rules, synthetic negatives, splits
+- dataset: ingestion, cleaning rules, synthetic negatives, rotating folds
 - nn: a small from-scratch convolutional regressor/classifier
 - metrics: thresholded confusion reports and related statistics
 - baseline: element-statistics features plus a random-forest reference model
 - screen: end-to-end batch screening and evaluation experiments
 - cli: the `scscreen` command-line entry point
+- errors: error classes shared by nn, metrics and baseline
 """
 
 from .formula import Composition, normalize, parse_composition, parse_formula

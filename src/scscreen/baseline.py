@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ShapeMismatchError
 from .ptable import ATOMIC_NUMBER, SYMBOLS
 
 # Basic per-element properties, in the fixed column order of the feature CSV.
@@ -78,10 +79,6 @@ class MissingElementFeaturesError(KeyError):
 
 class SingleClassInputError(ValueError):
     """Classifier training requires both classes to be present."""
-
-
-class ShapeMismatchError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

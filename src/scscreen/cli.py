@@ -169,6 +169,28 @@ def _load_eval(path):
     return ingest_csv(path, Source.EVAL_LIST).records
 
 
+def _start_experiment(args, command: str):
+    """Shared start of `evaluate`, `screen` and `discover`: output directory,
+    manifest, spec, and the cleaned `--sc`/`--cod` tables (plus `--eval`
+    when the subcommand has one), fingerprinted into the flushed manifest.
+
+    Returns (out, manifest, spec, sc, cod, eval_rows)."""
+    out = _prepare_out(args)
+    manifest = Manifest(out, command, args)
+    spec = _load_spec(args)
+    manifest.set_config(spec.describe())
+    sc = _load_sc(args.sc)
+    cod = _load_cod(args.cod)
+    manifest.add_input("sc", args.sc, sc)
+    manifest.add_input("cod", args.cod, cod)
+    eval_rows = []
+    if getattr(args, "eval", None):
+        eval_rows = _load_eval(args.eval)
+        manifest.add_input("eval", args.eval, eval_rows)
+    manifest.flush()
+    return out, manifest, spec, sc, cod, eval_rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -258,18 +280,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out = _prepare_out(args)
-    manifest = Manifest(out, "evaluate", args)
-    spec = _load_spec(args)
-    manifest.set_config(spec.describe())
-    sc = _load_sc(args.sc)
-    cod = _load_cod(args.cod)
-    eval_rows = _load_eval(args.eval)
-    manifest.add_input("sc", args.sc, sc)
-    manifest.add_input("cod", args.cod, cod)
-    manifest.add_input("eval", args.eval, eval_rows)
-    manifest.flush()
-
+    out, manifest, spec, sc, cod, eval_rows = _start_experiment(args, "evaluate")
     reports = run_temporal_eval(sc, cod, eval_rows, spec)
     write_reports_csv(reports, os.path.join(out, "reports.csv"))
     manifest.finish("reports.csv")
@@ -278,16 +289,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    out = _prepare_out(args)
-    manifest = Manifest(out, "screen", args)
-    spec = _load_spec(args)
-    manifest.set_config(spec.describe())
-    sc = _load_sc(args.sc)
-    cod = _load_cod(args.cod)
-    manifest.add_input("sc", args.sc, sc)
-    manifest.add_input("cod", args.cod, cod)
-    manifest.flush()
-
+    out, manifest, spec, sc, cod, _ = _start_experiment(args, "screen")
     result = run_candidate_screen(sc, cod, spec, jobs=args.jobs)
     write_candidates_csv(result, os.path.join(out, "candidates.csv"))
     write_threshold_counts_csv(result, os.path.join(out, "threshold_counts.csv"))
@@ -302,19 +304,7 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    out = _prepare_out(args)
-    manifest = Manifest(out, "discover", args)
-    spec = _load_spec(args)
-    manifest.set_config(spec.describe())
-    sc = _load_sc(args.sc)
-    cod = _load_cod(args.cod)
-    eval_rows = _load_eval(args.eval) if args.eval else []
-    manifest.add_input("sc", args.sc, sc)
-    manifest.add_input("cod", args.cod, cod)
-    if args.eval:
-        manifest.add_input("eval", args.eval, eval_rows)
-    manifest.flush()
-
+    out, manifest, spec, sc, cod, eval_rows = _start_experiment(args, "discover")
     result = run_family_discovery(sc, cod, spec, eval_list=eval_rows, jobs=args.jobs)
     write_runs_csv(result, os.path.join(out, "runs.csv"))
     write_histogram_csv(result.histogram, os.path.join(out, "histogram.csv"))

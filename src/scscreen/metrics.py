@@ -15,9 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-
-class LengthMismatchError(ValueError):
-    pass
+from .errors import LengthMismatchError
 
 
 class DegenerateTargetError(ValueError):

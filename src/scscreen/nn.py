@@ -41,6 +41,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import LengthMismatchError, ShapeMismatchError
 from .ptable import TENSOR_SHAPE, encode_ptable_batch
 
 H_GRID, W_GRID = 7, 32
@@ -64,14 +65,6 @@ class TcTransform(Enum):
 class Loss(Enum):
     SMOOTH_L1 = "smooth_l1"
     BCE_LOGIT = "bce_logit"
-
-
-class ShapeMismatchError(ValueError):
-    pass
-
-
-class LengthMismatchError(ValueError):
-    pass
 
 
 class LabelOutOfRangeError(ValueError):

@@ -16,7 +16,6 @@ number minus one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -140,35 +139,3 @@ def encode_onehot(composition: Mapping[str, float]) -> np.ndarray:
     for symbol, fraction in composition.items():
         v[ATOMIC_NUMBER[symbol] - 1] = fraction
     return v
-
-
-def tensor_to_flat(tensor: np.ndarray) -> np.ndarray:
-    """Row-major (channel, row, col) flattening to 896 values, the golden-file order."""
-    if tensor.shape != TENSOR_SHAPE:
-        raise ValueError(f"expected tensor of shape {TENSOR_SHAPE}, got {tensor.shape}")
-    return tensor.reshape(TENSOR_SIZE)
-
-
-def write_tensor_csv(tensor: np.ndarray, path) -> None:
-    """Write a tensor as a flat CSV of 896 values, one per line."""
-    flat = tensor_to_flat(tensor)
-    with open(path, "w", newline="") as f:
-        for v in flat:
-            f.write(f"{v:.9g}\n")
-
-
-def read_tensor_csv(path) -> np.ndarray:
-    with open(path) as f:
-        values = [float(line) for line in f if line.strip()]
-    if len(values) != TENSOR_SIZE:
-        raise ValueError(f"expected {TENSOR_SIZE} values, got {len(values)}")
-    return np.asarray(values).reshape(TENSOR_SHAPE)
-
-
-def write_geometry_csv(path) -> None:
-    """Export the element geometry table for audit."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["symbol", "atomic_number", "block", "row", "col"])
-        for e in ELEMENTS:
-            w.writerow([e.symbol, e.atomic_number, e.block.name, e.row, e.col])

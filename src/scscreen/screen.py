@@ -82,8 +82,9 @@ class TrainingFilter:
       records fail a year bound (their side of the cutoff is unknowable).
     - families: when set, keep only records classified into one of these.
     - exclude_families: drop records classified into any of these.
-    - remove: drop records matching any of these formulas (tolerant
-      composition match, same rule as dataset.remove_named).
+    - remove: drop records whose composition matches any of these formulas
+      (same `Composition.key()`, the rule dedup, overlap removal and the
+      leakage checks use).
 
     An empty filter keeps everything. Records without a composition pass
     unless a family rule is present (they cannot be classified).
@@ -93,16 +94,16 @@ class TrainingFilter:
     families: frozenset[FamilyLabel] | None = None
     exclude_families: frozenset[FamilyLabel] = frozenset()
     remove: tuple[str, ...] = ()
-    _removals: tuple[Composition, ...] = field(init=False, repr=False, compare=False)
+    _removals: frozenset[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        targets = []
+        keys = set()
         for f in self.remove:
             try:
-                targets.append(parse_composition(f))
+                keys.add(parse_composition(f).key())
             except FormulaError as err:
                 raise ValueError(f"cannot parse removal target {f!r}: {err}") from err
-        object.__setattr__(self, "_removals", tuple(targets))
+        object.__setattr__(self, "_removals", frozenset(keys))
 
     def __call__(self, record: MaterialRecord) -> bool:
         if self.year_before is not None:
@@ -117,11 +118,7 @@ class TrainingFilter:
                 return False
             if fam in self.exclude_families:
                 return False
-        if comp is not None:
-            for target in self._removals:
-                if frozenset(comp) == frozenset(target) and comp.almost_equal(target):
-                    return False
-        return True
+        return comp is None or comp.key() not in self._removals
 
     def apply(self, records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
         return [r for r in records if self(r)]
@@ -314,12 +311,48 @@ def _assert_disjoint(
     context: str,
 ) -> None:
     train_keys = {composition_key(r) for r in train_records}
-    shared = [composition_key(r) for r in test_records if composition_key(r) in train_keys]
+    shared = [
+        r.composition.formula() for r in test_records if composition_key(r) in train_keys
+    ]
     if shared:
         raise LeakageError(
             f"{context}: {len(shared)} test composition(s) also in training, "
             f"e.g. {shared[0]!r}"
         )
+
+
+def _training_sc(
+    sc_data: Sequence[MaterialRecord], spec: ExperimentSpec
+) -> list[MaterialRecord]:
+    """Measured rows that pass spec.training_filter and can feed the model."""
+    sc_train = _trainable(spec.training_filter.apply(sc_data))
+    if not sc_train:
+        raise EmptyDatasetError("training filter left no superconductor rows")
+    return sc_train
+
+
+def _hold_out(
+    sc_train: list[MaterialRecord],
+    cod_data: Sequence[MaterialRecord],
+    spec: ExperimentSpec,
+    test_rows: Sequence[MaterialRecord],
+    excluded: Sequence[MaterialRecord],
+    context: str,
+    empty_message: str,
+) -> tuple[list[MaterialRecord], list[MaterialRecord]]:
+    """Training rows and the test rows they leave.
+
+    Training is sc_train plus the filtered catalogue as Tc = 0 negatives,
+    minus anything in `excluded`; test rows that still overlap training are
+    dropped from the test side (they would be answered by memory), and the
+    rest are asserted disjoint from training.
+    """
+    train_rows = sc_train + garbage_in(spec.training_filter.apply(cod_data), sc_train, excluded)
+    test_rows = remove_overlap(test_rows, train_rows)
+    if not test_rows:
+        raise EmptyDatasetError(empty_message)
+    _assert_disjoint(train_rows, test_rows, context)
+    return train_rows, test_rows
 
 
 def _run_indexed(tasks: Sequence, fn, jobs: int) -> list:
@@ -374,10 +407,8 @@ def run_candidate_screen(
         raise ValueError("candidate screening needs spec.fold_size")
     if spec.model.head is not Head.REGRESSION:
         raise ValueError("candidate ranking needs kelvin predictions (REGRESSION head)")
-    sc_train = _trainable(spec.training_filter.apply(sc_data))
-    if not sc_train:
-        raise EmptyDatasetError("training filter left no superconductor rows")
-    corpus = garbage_in([r for r in cod_data if r.composition is not None], sc_train)
+    sc_train = _training_sc(sc_data, spec)
+    corpus = garbage_in(cod_data, sc_train)
     if not corpus:
         raise EmptyDatasetError("catalogue is empty after overlap removal")
     folds = rotating_folds(corpus, spec.fold_size, seed=spec.model.seed)
@@ -478,20 +509,10 @@ def run_temporal_eval(
             f"evaluation list has {len(missing)} row(s) without a known Tc, "
             f"e.g. {missing[0].raw_formula!r}"
         )
-    eval_rows = list(eval_list)
-    sc_train = _trainable(spec.training_filter.apply(sc_data))
-    if not sc_train:
-        raise EmptyDatasetError("training filter left no superconductor rows")
-    negatives = garbage_in(
-        spec.training_filter.apply([r for r in cod_data if r.composition is not None]),
-        sc_train,
-        eval_rows,
+    train_rows, eval_rows = _hold_out(
+        _training_sc(sc_data, spec), cod_data, spec, eval_list, eval_list,
+        "temporal eval", "evaluation list is empty after overlap removal",
     )
-    train_rows = sc_train + negatives
-    eval_rows = remove_overlap(eval_rows, train_rows)
-    if not eval_rows:
-        raise EmptyDatasetError("evaluation list is empty after overlap removal")
-    _assert_disjoint(train_rows, eval_rows, "temporal eval")
 
     true_tc = [r.tc_kelvin for r in eval_rows]
     eval_comps = [r.composition for r in eval_rows]
@@ -569,9 +590,7 @@ def run_family_discovery(
     ]
     if not test_rows:
         raise EmptyDatasetError(f"no {target.name} rows to hold out")
-    sc_train = _trainable(spec.training_filter.apply(sc_data))
-    if not sc_train:
-        raise EmptyDatasetError("training filter left no superconductor rows")
+    sc_train = _training_sc(sc_data, spec)
     leaked = [r for r in sc_train if classify_family(r.composition) is target]
     if leaked:
         # A family exclusion rule or a year bound predating the family must
@@ -580,16 +599,10 @@ def run_family_discovery(
             f"training data still holds {len(leaked)} {target.name} row(s) "
             f"after filtering, e.g. {leaked[0].raw_formula!r}"
         )
-    negatives = garbage_in(
-        spec.training_filter.apply([r for r in cod_data if r.composition is not None]),
-        sc_train,
-        list(test_rows) + list(eval_list),
+    train_rows, test_rows = _hold_out(
+        sc_train, cod_data, spec, test_rows, [*test_rows, *eval_list],
+        f"{target.name} discovery", "held-out family fully overlaps training data",
     )
-    train_rows = sc_train + negatives
-    test_rows = remove_overlap(test_rows, train_rows)
-    if not test_rows:
-        raise EmptyDatasetError("held-out family fully overlaps training data")
-    _assert_disjoint(train_rows, test_rows, f"{target.name} discovery")
 
     samples = _samples(train_rows)
     test_comps = [r.composition for r in test_rows]

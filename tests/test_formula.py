@@ -185,12 +185,13 @@ class TestNormalize:
         assert hash(a) == hash(b)
         assert a != parse_composition("H2O2")
 
-    def test_almost_equal(self):
+    def test_key_identity(self):
         a = parse_composition("H2O")
         b = normalize({"H": 2.0 + 1e-9, "O": 1.0})
-        assert a.almost_equal(b, tol=1e-6)
-        assert not a.almost_equal(parse_composition("H2Se"), tol=1e-6)
-        assert not a.almost_equal(parse_composition("HO"), tol=1e-2)
+        assert a.key() == b.key() and a == b
+        assert a.key() == ("H", 666667, "O", 333333)
+        assert a.key() != parse_composition("H2Se").key()
+        assert a.key() != parse_composition("HO").key()
 
     def test_immutable(self):
         c = parse_composition("H2O")
@@ -230,7 +231,9 @@ def test_normalize_sums_to_one(counts):
 def test_normalize_scale_invariant(counts, scale):
     a = normalize(counts)
     b = normalize({k: v * scale for k, v in counts.items()})
-    assert a.almost_equal(b, tol=1e-9)
+    assert set(a) == set(b)
+    for s in a:
+        assert abs(a[s] - b[s]) <= 1e-9
 
 
 @settings(max_examples=300)

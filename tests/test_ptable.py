@@ -25,10 +25,6 @@ from scscreen.ptable import (
     encode_onehot,
     encode_ptable,
     encode_ptable_batch,
-    read_tensor_csv,
-    tensor_to_flat,
-    write_geometry_csv,
-    write_tensor_csv,
 )
 
 _SYMBOLS_BY_Z = (
@@ -123,6 +119,10 @@ def test_encode_known_values():
     assert nb[2, 4, 18] == 1.0  # channel D, row 5, col 19
     assert np.count_nonzero(nb) == 1
 
+    flat = encode_ptable({"Y": 0.1, "Ba": 0.2, "Cu": 0.3, "O": 0.4}).reshape(TENSOR_SIZE)
+    # row-major (channel, row, col): O is channel P(1), row 2, col 30
+    assert flat[1 * 224 + 1 * 32 + 29] == 0.4
+
 
 def test_onehot_known_values():
     v = encode_onehot({"H": 0.4, "He": 0.6})
@@ -169,29 +169,6 @@ def test_batch_encode_matches_single():
     assert batch.shape == (3, *TENSOR_SHAPE)
     for i, c in enumerate(cs):
         assert np.array_equal(batch[i], encode_ptable(c))
-
-
-def test_flat_csv_round_trip(tmp_path):
-    t = encode_ptable({"Y": 0.1, "Ba": 0.2, "Cu": 0.3, "O": 0.4})
-    flat = tensor_to_flat(t)
-    assert flat.shape == (TENSOR_SIZE,)
-    # row-major (channel, row, col): O is channel P(1), row 2, col 30
-    assert flat[1 * 224 + 1 * 32 + 29] == 0.4
-    path = tmp_path / "t.csv"
-    write_tensor_csv(t, path)
-    assert len(path.read_text().splitlines()) == TENSOR_SIZE
-    back = read_tensor_csv(path)
-    assert np.allclose(back, t, atol=1e-9)
-
-
-def test_geometry_csv(tmp_path):
-    path = tmp_path / "geometry.csv"
-    write_geometry_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "symbol,atomic_number,block,row,col"
-    assert len(lines) == 1 + N_ELEMENTS
-    assert "Fe,26,D,4,22" in lines
-    assert "He,2,S,1,32" in lines
 
 
 def test_decode_shape_check():

@@ -126,6 +126,10 @@ class TestTrainingFilter:
         assert not f(rec("Nb0.5Ti0.5", 9.0, 2000))
         assert not f(rec("Nb2Ti2", 9.0, 2000))
         assert f(rec("Nb2Ti", 9.0, 2000))
+        f = build_training_filter({"remove": ["LaFePO", "LaFePFO"]})
+        assert not f(rec("La1Fe1P1O1", 5.0))
+        assert not f(rec("LaFePFO", 7.0))
+        assert f(rec("NbN", 16.0))
 
     def test_rules_compose(self):
         f = build_training_filter(
@@ -318,10 +322,16 @@ class TestCandidateScreen:
         assert again.threshold_counts == result.threshold_counts
 
     def test_duplicate_catalogue_composition_is_leakage(self):
-        cod = [rec("Si", source=Source.COD), rec("Si", source=Source.COD), rec("Ge", source=Source.COD)]
         spec = screen_spec(train=quick_train(epochs=2), fold_size=1)
-        with pytest.raises(LeakageError, match="Si"):
-            run_candidate_screen(sc_world(), cod, spec)
+        # the second pair is one material to within 1e-6 in every fraction;
+        # the message names the collision by its canonical formula
+        for pair, name in (
+            (("Si", "Si"), "e.g. 'Si'"),
+            (("NbSn2", "Nb0.3333333Sn0.6666667"), "e.g. 'Nb0.333"),
+        ):
+            cod = [rec(f, source=Source.COD) for f in (*pair, "Ge")]
+            with pytest.raises(LeakageError, match=name):
+                run_candidate_screen(sc_world(), cod, spec)
 
     def test_needs_fold_size(self):
         with pytest.raises(ValueError, match="fold_size"):
