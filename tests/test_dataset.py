@@ -28,6 +28,7 @@ from scscreen.dataset import (
     write_records_csv,
 )
 from scscreen.formula import parse_composition
+from scscreen.screen import build_training_filter
 
 
 def rec(formula, tc=None, year=None, source=Source.SUPERCON):
@@ -220,6 +221,17 @@ class TestFilters:
         rows = [rec("C2H6O", source=Source.COD), rec("SiC", source=Source.COD), rec("H2O", source=Source.COD)]
         out = filter_inorganic(rows)
         assert [r.raw_formula for r in out] == ["SiC", "H2O"]
+
+    def test_remove_named(self):
+        rows = [rec("LaFePO", 5.0), rec("LaFePFO", 7.0), rec("NbN", 16.0)]
+        keep = build_training_filter({"remove": ["LaFePO", "LaFePFO"]})
+        assert [r.raw_formula for r in rows if keep(r)] == ["NbN"]
+        # spelling variant also matches
+        assert not keep(rec("La1Fe1P1O1", 5.0))
+
+    def test_remove_named_bad_formula(self):
+        with pytest.raises(ValueError, match="removal target"):
+            build_training_filter({"remove": ["NotAFormula((("]})
 
 
 class TestFolds:

@@ -6,12 +6,15 @@ table shipped in the package, so a transcription slip in either one fails
 the cross-check.
 """
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scscreen import ptable
+from scscreen.cli import main
 from scscreen.ptable import (
     ELEMENTS,
     N_COLS,
@@ -119,10 +122,6 @@ def test_encode_known_values():
     assert nb[2, 4, 18] == 1.0  # channel D, row 5, col 19
     assert np.count_nonzero(nb) == 1
 
-    flat = encode_ptable({"Y": 0.1, "Ba": 0.2, "Cu": 0.3, "O": 0.4}).reshape(TENSOR_SIZE)
-    # row-major (channel, row, col): O is channel P(1), row 2, col 30
-    assert flat[1 * 224 + 1 * 32 + 29] == 0.4
-
 
 def test_onehot_known_values():
     v = encode_onehot({"H": 0.4, "He": 0.6})
@@ -169,6 +168,30 @@ def test_batch_encode_matches_single():
     assert batch.shape == (3, *TENSOR_SHAPE)
     for i, c in enumerate(cs):
         assert np.array_equal(batch[i], encode_ptable(c))
+
+
+def test_flat_csv_round_trip(tmp_path):
+    # the one tensor-CSV format: the encode subcommand's channel,row,col,value
+    t = encode_ptable({"Y": 0.1, "Ba": 0.2, "Cu": 0.3, "O": 0.4})
+    flat = t.reshape(TENSOR_SIZE)
+    # row-major (channel, row, col): O is channel P(1), row 2, col 30
+    assert flat[1 * 224 + 1 * 32 + 29] == 0.4
+    assert main(["encode", "--formula", "YBa2Cu3O4", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "tensor.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == TENSOR_SIZE
+    back = np.zeros(TENSOR_SHAPE)
+    for r in rows:
+        back[Block[r["channel"]].value, int(r["row"]) - 1, int(r["col"]) - 1] = float(r["value"])
+    assert np.allclose(back, t, atol=1e-9)
+
+
+def test_geometry_csv():
+    lines = [f"{e.symbol},{e.atomic_number},{e.block.name},{e.row},{e.col}" for e in ELEMENTS]
+    assert len(set(lines)) == N_ELEMENTS
+    assert [e.atomic_number for e in ELEMENTS] == list(range(1, N_ELEMENTS + 1))
+    assert "Fe,26,D,4,22" in lines
+    assert "He,2,S,1,32" in lines
 
 
 def test_decode_shape_check():

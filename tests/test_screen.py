@@ -126,10 +126,6 @@ class TestTrainingFilter:
         assert not f(rec("Nb0.5Ti0.5", 9.0, 2000))
         assert not f(rec("Nb2Ti2", 9.0, 2000))
         assert f(rec("Nb2Ti", 9.0, 2000))
-        f = build_training_filter({"remove": ["LaFePO", "LaFePFO"]})
-        assert not f(rec("La1Fe1P1O1", 5.0))
-        assert not f(rec("LaFePFO", 7.0))
-        assert f(rec("NbN", 16.0))
 
     def test_rules_compose(self):
         f = build_training_filter(
