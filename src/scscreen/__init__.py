@@ -10,7 +10,7 @@ Subpackages by responsibility:
 - baseline: element-statistics features plus a random-forest reference model
 - screen: end-to-end batch screening and evaluation experiments
 - cli: the `scscreen` command-line entry point
-- errors: error classes shared by nn, metrics and baseline
+- errors: error classes shared by nn, metrics, baseline and screen
 """
 
 from .formula import Composition, normalize, parse_composition, parse_formula

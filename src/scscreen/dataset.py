@@ -89,16 +89,16 @@ def make_record(
     syntax problems produce a record with composition=None and a reason
     string, so nothing is silently dropped at ingest time.
     """
-    if has_unresolved_variables(raw_formula):
-        return MaterialRecord(
-            raw_formula, None, tc_kelvin, year, source, "unresolved_variable"
-        )
     try:
         comp = parse_composition(raw_formula)
     except FormulaError as err:
-        return MaterialRecord(
-            raw_formula, None, tc_kelvin, year, source, type(err).__name__
-        )
+        # a formula with a variable token never parses; name the variable
+        # rather than whichever syntax error the parser hit first
+        if has_unresolved_variables(raw_formula):
+            reason = "unresolved_variable"
+        else:
+            reason = type(err).__name__
+        return MaterialRecord(raw_formula, None, tc_kelvin, year, source, reason)
     return MaterialRecord(raw_formula, comp, tc_kelvin, year, source, None)
 
 

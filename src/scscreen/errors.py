@@ -1,4 +1,5 @@
-"""Error classes raised by more than one module (`nn`, `metrics`, `baseline`)."""
+"""Error classes raised by more than one module (`nn`, `metrics`,
+`baseline`, `screen`)."""
 
 
 class ShapeMismatchError(ValueError):
@@ -6,4 +7,8 @@ class ShapeMismatchError(ValueError):
 
 
 class LengthMismatchError(ValueError):
+    pass
+
+
+class UnknownFieldError(ValueError):
     pass

@@ -90,7 +90,6 @@ def confusion_at_threshold(
     predicted_tc: Sequence[float],
     true_tc: Sequence[float],
     threshold: float,
-    with_baseline: bool = True,
 ) -> EvalReport:
     """Confusion metrics counting value > threshold as positive on both sides."""
     pred = np.asarray(predicted_tc, dtype=np.float64)
@@ -99,8 +98,9 @@ def confusion_at_threshold(
         raise LengthMismatchError(f"shapes differ: {pred.shape} vs {true.shape}")
     if pred.size == 0:
         raise LengthMismatchError("need at least one pair")
-    base = baseline_precision(true, threshold) if with_baseline else None
-    return confusion_counts(pred > threshold, true > threshold, threshold, base)
+    return confusion_counts(
+        pred > threshold, true > threshold, threshold, baseline_precision(true, threshold)
+    )
 
 
 def baseline_precision(true_tc: Sequence[float], threshold: float) -> float:

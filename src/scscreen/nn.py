@@ -26,9 +26,13 @@ input gradient (a transposed convolution) from it.
 Scratch arrays come from a workspace dict that lives for one call (one
 `forward`, `backward` or `predict`, or one `train` run) and is dropped when
 the call returns; no view into it ever escapes the call. `forward` and
-`predict` run their rows through the network in fixed chunks of
-_INFER_ROWS, all on one workspace, so their peak memory does not grow with
-the number of rows.
+`predict` copy their rows, _INFER_ROWS at a time, into one fixed-size
+input buffer and forward it whole on one workspace. So their peak memory
+does not grow with the number of rows, and every GEMM has one shape, which
+makes a row's prediction independent of how many rows the call has.
+
+`config_echo` and `config_from_dict` are the one JSON form of the config
+dataclasses, shared by experiment specs, manifests and checkpoints.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, ShapeMismatchError
+from .errors import LengthMismatchError, ShapeMismatchError, UnknownFieldError
 from .ptable import TENSOR_SHAPE, encode_ptable_batch
 
 H_GRID, W_GRID = 7, 32
@@ -141,6 +145,43 @@ class TrainConfig:
             raise ValueError(f"loss must be a Loss, got {self.loss!r}")
 
 
+def config_echo(cfg) -> dict:
+    """JSON-ready echo of a config dataclass: every field in declaration
+    order, enum members by name."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        out[f.name] = value.name if isinstance(value, Enum) else value
+    return out
+
+
+def config_from_dict(cls, data: Mapping, what: str):
+    """Build config dataclass `cls` from a JSON-shaped mapping.
+
+    Unknown keys raise UnknownFieldError. An enum field (one whose default
+    is an enum member) reads a member name in any case. Absent fields keep
+    their defaults. `what` names the config in error messages.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise UnknownFieldError(
+            f"unknown {what} field(s) {sorted(unknown)}; known: {sorted(fields)}"
+        )
+    kwargs = dict(data)
+    for key, value in data.items():
+        enum_cls = type(fields[key].default)
+        if issubclass(enum_cls, Enum):
+            try:
+                kwargs[key] = enum_cls[str(value).upper()]
+            except KeyError:
+                raise ValueError(
+                    f"{what}.{key}: unknown value {value!r} "
+                    f"(known: {', '.join(e.name for e in enum_cls)})"
+                ) from None
+    return cls(**kwargs)
+
+
 @dataclass
 class ModelParams:
     """All learnable arrays; `arrays()` fixes the flat order used by the
@@ -162,17 +203,6 @@ class ModelParams:
             out.extend((self.dense_w, self.dense_b))
         out.extend((self.head_w, self.head_b))
         return out
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            [w.copy() for w in self.conv_w],
-            [b.copy() for b in self.conv_b],
-            None if self.dense_w is None else self.dense_w.copy(),
-            None if self.dense_b is None else self.dense_b.copy(),
-            self.head_w.copy(),
-            self.head_b.copy(),
-        )
 
 
 @dataclass
@@ -321,21 +351,24 @@ def _forward_cached(params: ModelParams, x_nhwc: np.ndarray, ws: dict):
 def _forward_chunks(
     params: ModelParams, n: int, chunk: Callable[[int, int], np.ndarray]
 ) -> np.ndarray:
-    """Raw head outputs of n rows, forwarded _INFER_ROWS at a time through
-    one workspace; `chunk(lo, hi)` returns rows lo:hi as a channel-last
-    batch of the model dtype. Each chunk's cache is dropped at once."""
-    raw = np.empty(n, dtype=params.config.np_dtype)
+    """Raw head outputs of n rows; `chunk(lo, hi)` returns rows lo:hi as a
+    channel-first (hi - lo, 4, 7, 32) batch.
+
+    Each chunk is copied into one (_INFER_ROWS, 7, 32, 4) buffer of the
+    model dtype, the whole buffer is forwarded through one workspace, and
+    the first hi - lo outputs are kept; a short last chunk forwards rows
+    left over from the one before and drops them. So every GEMM has one
+    shape, and a row's output does not depend on n. Each chunk's cache is
+    dropped at once.
+    """
+    dt = params.config.np_dtype
+    raw = np.empty(n, dtype=dt)
+    x = np.zeros((_INFER_ROWS, H_GRID, W_GRID, TENSOR_SHAPE[0]), dt)
     ws: dict = {}
     for lo in range(0, n, _INFER_ROWS):
         hi = min(lo + _INFER_ROWS, n)
-        # A short last chunk reaches back over rows already done, to the
-        # first multiple of 4 at most _INFER_ROWS rows before the end, and
-        # keeps only its new rows. A short chunk would send narrow layers'
-        # products to BLAS small-matrix kernels, and the head's
-        # matrix-vector product takes rows in groups of four; either way a
-        # row would round differently from the same row in one whole call.
-        start = lo if hi - lo == _INFER_ROWS else max(0, n - _INFER_ROWS + 3) // 4 * 4
-        raw[lo:hi] = _forward_cached(params, chunk(start, hi), ws)[0][lo - start :]
+        x[: hi - lo] = chunk(lo, hi).transpose(0, 2, 3, 1)
+        raw[lo:hi] = _forward_cached(params, x, ws)[0][: hi - lo]
     return raw
 
 
@@ -343,8 +376,7 @@ def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Raw head outputs for a (n, 4, 7, 32) batch: regression values in the
     transformed target space, or logits."""
     x = _check_batch(batch)
-    dt = params.config.np_dtype
-    return _forward_chunks(params, x.shape[0], lambda lo, hi: _nhwc(x[lo:hi], dt))
+    return _forward_chunks(params, x.shape[0], lambda lo, hi: x[lo:hi])
 
 
 def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> list:
@@ -599,9 +631,8 @@ def predict(
     if len(compositions) == 0:
         return np.zeros(0)
     comps = list(compositions)
-    dt = params.config.np_dtype
     raw = _forward_chunks(
-        params, len(comps), lambda lo, hi: _nhwc(encode_ptable_batch(comps[lo:hi]), dt)
+        params, len(comps), lambda lo, hi: encode_ptable_batch(comps[lo:hi])
     ).astype(np.float64)
     if head is Head.REGRESSION:
         kelvin = inverse_tc_transform(raw, params.config.tc_transform)
@@ -616,17 +647,7 @@ def predict(
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write params as an .npz with a JSON header; loading restores bitwise
     identical predictions."""
-    cfg = params.config
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "conv_layers": cfg.conv_layers,
-        "channels_per_layer": cfg.channels_per_layer,
-        "dense_hidden": cfg.dense_hidden,
-        "head": cfg.head.name,
-        "tc_transform": cfg.tc_transform.name,
-        "seed": cfg.seed,
-        "dtype": cfg.dtype,
-    }
+    meta = {"format_version": CHECKPOINT_FORMAT_VERSION, **config_echo(params.config)}
     arrays = {f"array_{i}": a for i, a in enumerate(params.arrays())}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
@@ -634,18 +655,16 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}")
-        cfg = ModelConfig(
-            conv_layers=meta["conv_layers"],
-            channels_per_layer=meta["channels_per_layer"],
-            dense_hidden=meta["dense_hidden"],
-            head=Head[meta["head"]],
-            tc_transform=TcTransform[meta["tc_transform"]],
-            seed=meta["seed"],
-            dtype=meta.get("dtype", "float32"),
-        )
-        params = init_params(cfg)
+        version = meta.pop("format_version", None)
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {version!r}")
+        # A field that fell back to its default would load a different model
+        # (a logit head as a regressor); only dtype may be absent, from
+        # headers written before it existed, and then means float32.
+        missing = {f.name for f in dataclasses.fields(ModelConfig)} - set(meta) - {"dtype"}
+        if missing:
+            raise ValueError(f"checkpoint header lacks {sorted(missing)}")
+        params = init_params(config_from_dict(ModelConfig, meta, "checkpoint"))
         arrays = params.arrays()
         for i, a in enumerate(arrays):
             stored = data[f"array_{i}"]

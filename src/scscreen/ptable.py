@@ -103,11 +103,7 @@ def encode_ptable(composition: Mapping[str, float]) -> np.ndarray:
     Each element's molar fraction lands at its (channel, row-1, col-1) cell;
     every other cell is zero, so the tensor sums to 1 for a normalized input.
     """
-    t = np.zeros(TENSOR_SHAPE)
-    for symbol, fraction in composition.items():
-        e = INFO[symbol]
-        t[e.block.value, e.row - 1, e.col - 1] = fraction
-    return t
+    return encode_ptable_batch([composition])[0]
 
 
 def encode_ptable_batch(compositions: Iterable[Mapping[str, float]]) -> np.ndarray:

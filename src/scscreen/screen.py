@@ -33,6 +33,7 @@ from .dataset import (
     remove_overlap,
     rotating_folds,
 )
+from .errors import UnknownFieldError
 from .formula import Composition, FormulaError, parse_composition
 from .metrics import (
     EvalReport,
@@ -42,7 +43,16 @@ from .metrics import (
     confusion_counts,
     positive_count_histogram,
 )
-from .nn import EmptyDatasetError, Head, ModelConfig, TrainConfig, predict, train
+from .nn import (
+    EmptyDatasetError,
+    Head,
+    ModelConfig,
+    TrainConfig,
+    config_echo,
+    config_from_dict,
+    predict,
+    train,
+)
 
 import csv
 
@@ -51,19 +61,12 @@ class LeakageError(RuntimeError):
     """A test composition showed up in the training set."""
 
 
-class UnknownFieldError(ValueError):
-    pass
-
-
 class UnknownFamilyError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
 # declarative training filter
-
-
-_FILTER_FIELDS = ("year_before", "families", "exclude_families", "remove")
 
 
 def _family(name: str) -> FamilyLabel:
@@ -137,6 +140,9 @@ class TrainingFilter:
         return out
 
 
+_FILTER_FIELDS = tuple(f.name for f in dataclasses.fields(TrainingFilter) if f.init)
+
+
 def build_training_filter(fragment: Mapping) -> TrainingFilter:
     """Build a TrainingFilter from a JSON-shaped mapping.
 
@@ -163,18 +169,6 @@ def build_training_filter(fragment: Mapping) -> TrainingFilter:
 
 # ---------------------------------------------------------------------------
 # experiment spec
-
-
-_SPEC_FIELDS = (
-    "name",
-    "training_filter",
-    "test_set",
-    "model",
-    "train",
-    "repeats",
-    "thresholds",
-    "fold_size",
-)
 
 
 @dataclass(frozen=True)
@@ -207,77 +201,37 @@ class ExperimentSpec:
     def describe(self) -> dict:
         """JSON-ready echo for manifests."""
         return {
-            "name": self.name,
+            **config_echo(self),
             "training_filter": self.training_filter.describe(),
-            "test_set": self.test_set,
-            "model": {
-                "conv_layers": self.model.conv_layers,
-                "channels_per_layer": self.model.channels_per_layer,
-                "dense_hidden": self.model.dense_hidden,
-                "head": self.model.head.name,
-                "tc_transform": self.model.tc_transform.name,
-                "seed": self.model.seed,
-                "dtype": self.model.dtype,
-            },
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "batch_size": self.train.batch_size,
-                "epochs": self.train.epochs,
-                "loss": self.train.loss.name,
-                "shuffle_seed": self.train.shuffle_seed,
-            },
-            "repeats": self.repeats,
+            "model": config_echo(self.model),
+            "train": config_echo(self.train),
             "thresholds": list(self.thresholds),
-            "fold_size": self.fold_size,
         }
 
 
-def _build_sub(cls, fragment: Mapping, enums: Mapping[str, type], what: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(fragment) - names
-    if unknown:
-        raise UnknownFieldError(
-            f"unknown {what} field(s) {sorted(unknown)}; known: {sorted(names)}"
-        )
-    kwargs = dict(fragment)
-    for key, enum_cls in enums.items():
-        if key in kwargs:
-            try:
-                kwargs[key] = enum_cls[str(kwargs[key]).upper()]
-            except KeyError:
-                raise ValueError(
-                    f"{what}.{key}: unknown value {kwargs[key]!r} "
-                    f"(known: {', '.join(e.name for e in enum_cls)})"
-                ) from None
-    return cls(**kwargs)
+# how spec_from_dict reads each field that is not taken as it stands
+_SPEC_READERS = {
+    "name": str,
+    "training_filter": build_training_filter,
+    "test_set": str,
+    "model": lambda d: config_from_dict(ModelConfig, d, "model"),
+    "train": lambda d: config_from_dict(TrainConfig, d, "train"),
+    "repeats": int,
+    "thresholds": tuple,
+}
 
 
 def spec_from_dict(data: Mapping) -> ExperimentSpec:
-    from .nn import Loss, TcTransform  # local to keep module import light
-
-    unknown = set(data) - set(_SPEC_FIELDS)
+    known = [f.name for f in dataclasses.fields(ExperimentSpec)]
+    unknown = set(data) - set(known)
     if unknown:
         raise UnknownFieldError(
-            f"unknown experiment field(s) {sorted(unknown)}; known: {list(_SPEC_FIELDS)}"
+            f"unknown experiment field(s) {sorted(unknown)}; known: {known}"
         )
     if "name" not in data:
         raise UnknownFieldError("experiment config needs a 'name'")
-    model = _build_sub(
-        ModelConfig,
-        data.get("model", {}),
-        {"head": Head, "tc_transform": TcTransform},
-        "model",
-    )
-    train_cfg = _build_sub(TrainConfig, data.get("train", {}), {"loss": Loss}, "train")
     return ExperimentSpec(
-        name=str(data["name"]),
-        training_filter=build_training_filter(data.get("training_filter", {})),
-        test_set=str(data.get("test_set", "")),
-        model=model,
-        train=train_cfg,
-        repeats=int(data.get("repeats", 1)),
-        thresholds=tuple(data.get("thresholds", (0.0, 4.0, 10.0))),
-        fold_size=data.get("fold_size"),
+        **{k: _SPEC_READERS[k](v) if k in _SPEC_READERS else v for k, v in data.items()}
     )
 
 

@@ -45,13 +45,16 @@ class TestIngest:
             "La2-xSrxCuO4,38,1986\n"
             "Qq7,,\n"
             "H2O,,\n"
+            "Yy1La,,\n"
         )
         report = ingest_csv(p, Source.SUPERCON)
-        assert report.n_rows == 5
+        assert report.n_rows == 6
         assert report.n_parsed == 3
-        assert report.n_flagged == 2
+        assert report.n_flagged == 3
         flagged = {r.raw_formula: r.flagged_reason for r in report.records if r.flagged_reason}
         assert flagged["La2-xSrxCuO4"] == "unresolved_variable"
+        # fails to parse on its syntax, but the variable is what gets named
+        assert flagged["Yy1La"] == "unresolved_variable"
         assert "Qq7" in flagged
         nbn = report.records[0]
         assert nbn.tc_kelvin == 16.0 and nbn.year == 1941

@@ -25,6 +25,8 @@ from scscreen.nn import (
     adam_step,
     backward,
     bce_logit_loss,
+    config_echo,
+    config_from_dict,
     forward,
     init_adam,
     init_params,
@@ -608,6 +610,20 @@ class TestPredict:
         assert peaks[4000] < 32e6, f"{peaks[4000] / 1e6:.1f} MB at 4000 rows"
         assert abs(peaks[4000] - peaks[250]) < 1e6, f"{peaks[250] / 1e6:.1f} MB at 250 rows"
 
+    def test_rows_independent_of_call_size(self):
+        # every chunk is forwarded at one shape, so a row's prediction has
+        # the same bits whatever the call's row count, also for narrow
+        # float32 layers that BLAS runs on its small-matrix kernels
+        comps = random_comps(np.random.default_rng(1), 100)
+        for cfg in (
+            ModelConfig(conv_layers=1, channels_per_layer=8, dense_hidden=0),
+            ModelConfig(conv_layers=3, channels_per_layer=3, head=Head.BINARY_LOGIT),
+        ):
+            params = init_params(cfg)
+            whole = predict(params, comps)
+            for n in (1, 13, 31, 33, 47, 63):
+                assert np.array_equal(predict(params, comps[:n]), whole[:n]), (cfg, n)
+
     def test_mode_mismatch(self):
         params = init_params(tiny_cfg())
         with pytest.raises(ShapeMismatchError):
@@ -645,3 +661,39 @@ class TestCheckpoint:
         np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_header_without_head_fails(self, tmp_path):
+        # a head left at its default would load a logit model as a regressor
+        params = init_params(tiny_cfg(head=Head.BINARY_LOGIT))
+        path = tmp_path / "model.npz"
+        save_checkpoint(params, path)
+        import json
+
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        del meta["head"]
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ValueError, match="head"):
+            load_checkpoint(path)
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(conv_layers=2, channels_per_layer=5, dense_hidden=0,
+                        head=Head.BINARY_LOGIT, tc_transform=TcTransform.LINEAR,
+                        seed=13, dtype="float64"),
+            TrainConfig(learning_rate=0.5, batch_size=7, epochs=3,
+                        loss=Loss.BCE_LOGIT, shuffle_seed=9),
+        ],
+        ids=["model", "train"],
+    )
+    def test_echo_round_trips(self, cfg):
+        import dataclasses
+        import json
+
+        assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
+        echo = json.loads(json.dumps(config_echo(cfg)))
+        assert config_from_dict(type(cfg), echo, "cfg") == cfg

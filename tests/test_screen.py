@@ -204,6 +204,7 @@ class TestExperimentSpec:
         assert s.thresholds == (0.0, 10.0)
         assert s.fold_size == 50
         assert s.training_filter.year_before == 2010
+        assert spec_from_dict(s.describe()) == s
 
     def test_from_dict_unknown_keys(self):
         with pytest.raises(UnknownFieldError, match="folds"):
