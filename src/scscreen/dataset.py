@@ -287,13 +287,6 @@ def clean_catalogue(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     return dedup_median_tc(filter_inorganic(drop_flagged(records)))
 
 
-def composition_key(record: MaterialRecord) -> tuple:
-    """Identity key used for leakage checks: the record's `Composition.key()`."""
-    if record.composition is None:
-        raise ValueError(f"record {record.raw_formula!r} has no composition")
-    return record.composition.key()
-
-
 def dataset_fingerprint(records: Sequence[MaterialRecord]) -> str:
     """Order-independent sha256 over the material content of a record list.
 

@@ -253,15 +253,16 @@ def init_adam(params: ModelParams) -> AdamState:
 
 
 def _windows(padded: np.ndarray) -> np.ndarray:
-    """(n, H+2, W+2, C) -> read-only view (n, H, W, 3, 3, C) of 3x3 patches."""
+    """Contiguous (n, H+2, W+2, C) -> read-only view (n, H, W, 3, 3, C) of
+    3x3 patches. Not `as_strided`: its `__array_interface__` read wears one
+    slot of CPython's interned-string table per call, and the table's
+    rebuild (1-2 MB) every ~32,000 calls lands inside some forward pass."""
     n, hp, wp, c = padded.shape
     s0, s1, s2, s3 = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, hp - 2, wp - 2, KERNEL, KERNEL, c),
-        strides=(s0, s1, s2, s1, s2, s3),
-        writeable=False,
-    )
+    shape, strides = (n, hp - 2, wp - 2, KERNEL, KERNEL, c), (s0, s1, s2, s1, s2, s3)
+    view = np.ndarray(shape, padded.dtype, buffer=padded, strides=strides)
+    view.flags.writeable = False
+    return view
 
 
 def _ws_buf(ws: dict, key: tuple, shape: tuple, dtype, zeroed: bool = False):

@@ -11,15 +11,20 @@ Three workflows share one declarative config (`ExperimentSpec`):
   out entirely and count how many of its members each run flags as
   superconducting.
 
-Every workflow asserts train/test composition disjointness at runtime and
-derives all randomness from seeds recorded in its result.
+No scored material is ever a training material, checked before any model
+trains: evaluation and discovery keep scored rows out of the negatives and
+drop those that match a measured training row (`_hold_out`); the screen
+rejects a corpus row whose key matches a training superconductor or another
+corpus row, which covers every fold at once. All randomness derives from
+seeds recorded in the result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +32,6 @@ from .dataset import (
     FamilyLabel,
     MaterialRecord,
     classify_family,
-    composition_key,
     dataset_fingerprint,
     garbage_in,
     remove_overlap,
@@ -39,7 +43,6 @@ from .metrics import (
     EvalReport,
     Histogram,
     baseline_precision,
-    confusion_at_threshold,
     confusion_counts,
     positive_count_histogram,
 )
@@ -255,19 +258,16 @@ def _trainable(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     return [r for r in records if r.composition is not None and r.tc_kelvin is not None]
 
 
-def _samples(records: Sequence[MaterialRecord]) -> list[tuple[Composition, float]]:
+def _samples(records: Iterable[MaterialRecord]) -> list[tuple[Composition, float]]:
     return [(r.composition, r.tc_kelvin) for r in records]
 
 
-def _assert_disjoint(
-    train_records: Sequence[MaterialRecord],
-    test_records: Sequence[MaterialRecord],
-    context: str,
-) -> None:
-    train_keys = {composition_key(r) for r in train_records}
-    shared = [
-        r.composition.formula() for r in test_records if composition_key(r) in train_keys
-    ]
+def _keys(records: Iterable[MaterialRecord]) -> set[tuple]:
+    return {r.composition.key() for r in records}
+
+
+def _assert_disjoint(train_keys: set[tuple], rows: Sequence[MaterialRecord], context: str):
+    shared = [r.composition.formula() for r in rows if r.composition.key() in train_keys]
     if shared:
         raise LeakageError(
             f"{context}: {len(shared)} test composition(s) also in training, "
@@ -289,24 +289,28 @@ def _hold_out(
     sc_train: list[MaterialRecord],
     cod_data: Sequence[MaterialRecord],
     spec: ExperimentSpec,
-    test_rows: Sequence[MaterialRecord],
-    excluded: Sequence[MaterialRecord],
+    scored: Sequence[Sequence[MaterialRecord]],
     context: str,
-    empty_message: str,
-) -> tuple[list[MaterialRecord], list[MaterialRecord]]:
-    """Training rows and the test rows they leave.
-
-    Training is sc_train plus the filtered catalogue as Tc = 0 negatives,
-    minus anything in `excluded`; test rows that still overlap training are
-    dropped from the test side (they would be answered by memory), and the
-    rest are asserted disjoint from training.
-    """
+) -> tuple[list[MaterialRecord], list[list[MaterialRecord]]]:
+    """Training rows (sc_train plus the filtered catalogue as Tc = 0
+    negatives, no scored row among them) and each scored set without the
+    rows that match training, which would be answered by memory."""
+    excluded = [r for rows in scored for r in rows]
     train_rows = sc_train + garbage_in(spec.training_filter.apply(cod_data), sc_train, excluded)
-    test_rows = remove_overlap(test_rows, train_rows)
-    if not test_rows:
-        raise EmptyDatasetError(empty_message)
-    _assert_disjoint(train_rows, test_rows, context)
-    return train_rows, test_rows
+    kept = [remove_overlap(rows, train_rows) for rows in scored]
+    train_keys = _keys(train_rows)
+    for rows in kept:
+        _assert_disjoint(train_keys, rows, context)
+    return train_rows, kept
+
+
+def _report(head: Head, pred, true_tc: Sequence[float], t: float) -> EvalReport:
+    """Confusion at t: truth is Tc > t, a prediction is positive above t
+    kelvin (REGRESSION) or above probability 0.5 (BINARY_LOGIT)."""
+    cut = t if head is Head.REGRESSION else 0.5
+    return confusion_counts(
+        pred > cut, [tc > t for tc in true_tc], t, baseline_precision(true_tc, t)
+    )
 
 
 def _run_indexed(tasks: Sequence, fn, jobs: int) -> list:
@@ -341,6 +345,16 @@ class CandidateList:
     corpus_fingerprint: str
 
 
+def _assert_corpus_disjoint(sc_train: list[MaterialRecord], corpus: list[MaterialRecord]):
+    """A corpus row trains every fold but its own and is ranked once, so its
+    key may match no training superconductor and no other corpus row. A
+    function of its own, so the key sets are freed before any fold trains."""
+    counts = Counter(r.composition.key() for r in corpus)
+    train_keys = _keys(sc_train)
+    train_keys.update(k for k, n in counts.items() if n > 1)
+    _assert_disjoint(train_keys, corpus, "screen")
+
+
 def run_candidate_screen(
     sc_data: Sequence[MaterialRecord],
     cod_data: Sequence[MaterialRecord],
@@ -365,29 +379,28 @@ def run_candidate_screen(
     corpus = garbage_in(cod_data, sc_train)
     if not corpus:
         raise EmptyDatasetError("catalogue is empty after overlap removal")
+    _assert_corpus_disjoint(sc_train, corpus)
     folds = rotating_folds(corpus, spec.fold_size, seed=spec.model.seed)
     sc_samples = _samples(sc_train)
 
     def score_fold(task):
         fold_id, (train_idx, test_idx) = task
-        train_rows = [corpus[i] for i in train_idx]
-        test_rows = [corpus[i] for i in test_idx]
-        _assert_disjoint(sc_train + train_rows, test_rows, f"fold {fold_id}")
         model_cfg = dataclasses.replace(spec.model, seed=spec.model.seed + fold_id)
-        params, _ = train(sc_samples + _samples(train_rows), model_cfg, spec.train)
-        preds = predict(params, [r.composition for r in test_rows])
-        return [
-            CandidateRow(
-                formula=r.composition.formula(),
-                predicted_tc_kelvin=float(p),
-                fold_id=fold_id,
-                family=classify_family(r.composition),
-            )
-            for r, p in zip(test_rows, preds)
-        ]
+        samples = sc_samples + _samples(corpus[i] for i in train_idx)
+        params, _ = train(samples, model_cfg, spec.train)
+        return predict(params, [corpus[i].composition for i in test_idx])
 
     per_fold = _run_indexed(list(enumerate(folds)), score_fold, jobs)
-    rows = [row for fold_rows in per_fold for row in fold_rows]
+    rows = [
+        CandidateRow(
+            formula=corpus[i].composition.formula(),
+            predicted_tc_kelvin=float(p),
+            fold_id=fold_id,
+            family=classify_family(corpus[i].composition),
+        )
+        for fold_id, ((_, test_idx), preds) in enumerate(zip(folds, per_fold))
+        for i, p in zip(test_idx, preds)
+    ]
     kept = [
         r for r in rows if r.family not in (FamilyLabel.CUPRATE, FamilyLabel.FESC)
     ]
@@ -463,33 +476,23 @@ def run_temporal_eval(
             f"evaluation list has {len(missing)} row(s) without a known Tc, "
             f"e.g. {missing[0].raw_formula!r}"
         )
-    train_rows, eval_rows = _hold_out(
-        _training_sc(sc_data, spec), cod_data, spec, eval_list, eval_list,
-        "temporal eval", "evaluation list is empty after overlap removal",
+    train_rows, (eval_rows,) = _hold_out(
+        _training_sc(sc_data, spec), cod_data, spec, [eval_list], "temporal eval"
     )
+    if not eval_rows:
+        raise EmptyDatasetError("evaluation list is empty after overlap removal")
 
     true_tc = [r.tc_kelvin for r in eval_rows]
     eval_comps = [r.composition for r in eval_rows]
     samples = _samples(train_rows)
+    head = spec.model.head
 
     reports = []
-    if spec.model.head is Head.REGRESSION:
-        params, _ = train(samples, spec.model, spec.train)
-        pred = predict(params, eval_comps)
-        for t in spec.thresholds:
-            reports.append(confusion_at_threshold(pred, true_tc, t))
-    else:
-        for t in spec.thresholds:
+    for t in spec.thresholds:
+        if not reports or head is Head.BINARY_LOGIT:
             params, _ = train(samples, spec.model, spec.train, label_threshold=t)
-            prob = predict(params, eval_comps)
-            reports.append(
-                confusion_counts(
-                    prob > 0.5,
-                    [tc > t for tc in true_tc],
-                    t,
-                    baseline_precision(true_tc, t),
-                )
-            )
+            pred = predict(params, eval_comps)
+        reports.append(_report(head, pred, true_tc, t))
     return reports
 
 
@@ -534,7 +537,9 @@ def run_family_discovery(
     0 K; a BINARY_LOGIT model (trained on tc > lowest threshold) when its
     probability clears 0.5. When a reference list is supplied, each run
     also predicts it and is flagged invalid if its precision at the lowest
-    configured threshold fails to beat always-guessing-positive.
+    configured threshold fails to beat always-guessing-positive. Reference
+    rows that match a training row are dropped from that check, as
+    `run_temporal_eval` drops them from its list.
     """
     target = _family(spec.test_set)
     test_rows = [
@@ -553,14 +558,15 @@ def run_family_discovery(
             f"training data still holds {len(leaked)} {target.name} row(s) "
             f"after filtering, e.g. {leaked[0].raw_formula!r}"
         )
-    train_rows, test_rows = _hold_out(
-        sc_train, cod_data, spec, test_rows, [*test_rows, *eval_list],
-        f"{target.name} discovery", "held-out family fully overlaps training data",
+    train_rows, (test_rows, eval_rows) = _hold_out(
+        sc_train, cod_data, spec, [test_rows, _trainable(eval_list)],
+        f"{target.name} discovery",
     )
+    if not test_rows:
+        raise EmptyDatasetError("held-out family fully overlaps training data")
 
     samples = _samples(train_rows)
     test_comps = [r.composition for r in test_rows]
-    eval_rows = [r for r in eval_list if r.composition is not None and r.tc_kelvin is not None]
     eval_comps = [r.composition for r in eval_rows]
     eval_tc = [r.tc_kelvin for r in eval_rows]
     check_t = spec.thresholds[0]
@@ -578,16 +584,7 @@ def run_family_discovery(
         report = None
         valid = None
         if eval_rows:
-            eval_pred = predict(params, eval_comps)
-            if classifying:
-                report = confusion_counts(
-                    eval_pred > 0.5,
-                    [tc > check_t for tc in eval_tc],
-                    check_t,
-                    baseline_precision(eval_tc, check_t),
-                )
-            else:
-                report = confusion_at_threshold(eval_pred, eval_tc, check_t)
+            report = _report(spec.model.head, predict(params, eval_comps), eval_tc, check_t)
             valid = report.precision is not None and report.precision > report.baseline_precision
         return RunReport(
             run_index=k,

@@ -26,7 +26,6 @@ from scscreen.cli import main as cli_main
 from scscreen.dataset import (
     Source,
     classify_family,
-    composition_key,
     garbage_in,
     make_record,
 )
@@ -367,10 +366,10 @@ def test_c07_synthetic_negatives_disjoint_and_zero():
         ev = draw(6, Source.EVAL_LIST)
         negatives = garbage_in(cod, sc, ev)
 
-        neg_keys = {composition_key(r) for r in negatives}
-        sc_keys = {composition_key(r) for r in sc}
-        ev_keys = {composition_key(r) for r in ev}
-        usable = {composition_key(r) for r in cod if r.composition is not None}
+        neg_keys = {r.composition.key() for r in negatives}
+        sc_keys = {r.composition.key() for r in sc}
+        ev_keys = {r.composition.key() for r in ev}
+        usable = {r.composition.key() for r in cod if r.composition is not None}
         assert neg_keys == usable - sc_keys - ev_keys
         assert neg_keys.isdisjoint(sc_keys)
         assert neg_keys.isdisjoint(ev_keys)

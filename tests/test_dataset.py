@@ -15,7 +15,6 @@ from scscreen.dataset import (
     classify_family,
     clean_catalogue,
     clean_sc,
-    composition_key,
     dataset_fingerprint,
     dedup_median_tc,
     drop_missing_tc,
@@ -213,8 +212,8 @@ class TestGarbageIn:
         cod = [rec(pool[i], source=Source.COD) for i in rng.integers(0, len(pool), 8)]
         sc = [rec(pool[i], 10.0) for i in rng.integers(0, len(pool), 4)]
         negs = garbage_in(cod, sc)
-        neg_keys = {composition_key(r) for r in negs}
-        sc_keys = {composition_key(r) for r in sc}
+        neg_keys = {r.composition.key() for r in negs}
+        sc_keys = {r.composition.key() for r in sc}
         assert neg_keys & sc_keys == set()
         assert all(r.tc_kelvin == 0.0 for r in negs)
 

@@ -610,6 +610,23 @@ class TestPredict:
         assert peaks[4000] < 32e6, f"{peaks[4000] / 1e6:.1f} MB at 4000 rows"
         assert abs(peaks[4000] - peaks[250]) < 1e6, f"{peaks[250] / 1e6:.1f} MB at 250 rows"
 
+    def test_patch_view_allocates_nothing(self):
+        # every conv layer of every chunk builds one patch view; a view that
+        # allocates on the way (as_strided's __array_interface__ read wears
+        # a slot of CPython's interned-string table, which is rebuilt every
+        # ~32,000 calls) puts a 1-2 MB spike inside some forward pass
+        pad = np.zeros((1, 9, 34, 1), np.float32)
+        nn._windows(pad)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(200_000):
+                nn._windows(pad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 64e3, f"{(peak - start) / 1e6:.2f} MB"
+
     def test_rows_independent_of_call_size(self):
         # every chunk is forwarded at one shape, so a row's prediction has
         # the same bits whatever the call's row count, also for narrow

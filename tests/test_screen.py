@@ -319,16 +319,19 @@ class TestCandidateScreen:
         assert again.threshold_counts == result.threshold_counts
 
     def test_duplicate_catalogue_composition_is_leakage(self):
-        spec = screen_spec(train=quick_train(epochs=2), fold_size=1)
         # the second pair is one material to within 1e-6 in every fraction;
-        # the message names the collision by its canonical formula
+        # the message names the collision by its canonical formula. At fold
+        # size 3 both copies share the one fold: no fold trains on the
+        # other copy, yet the material would be ranked twice.
         for pair, name in (
             (("Si", "Si"), "e.g. 'Si'"),
             (("NbSn2", "Nb0.3333333Sn0.6666667"), "e.g. 'Nb0.333"),
         ):
             cod = [rec(f, source=Source.COD) for f in (*pair, "Ge")]
-            with pytest.raises(LeakageError, match=name):
-                run_candidate_screen(sc_world(), cod, spec)
+            for fold_size in (1, len(cod)):
+                spec = screen_spec(train=quick_train(epochs=2), fold_size=fold_size)
+                with pytest.raises(LeakageError, match=name):
+                    run_candidate_screen(sc_world(), cod, spec)
 
     def test_needs_fold_size(self):
         with pytest.raises(ValueError, match="fold_size"):
@@ -503,12 +506,14 @@ class TestFamilyDiscovery:
         assert all(r.eval_report is None and r.valid is None for r in res.runs)
 
     def test_validity_checked_against_reference_list(self):
+        # Nb2Al6 is a pre-2008 training row: it is scored by nobody, as in
+        # the temporal evaluation
         sc, cod = discovery_world()
-        res = run_family_discovery(
-            sc, cod, discovery_spec(repeats=2), eval_list=eval_list_rows()
-        )
+        ref = eval_list_rows() + [rec("Nb2Al6", 6.25, 2012, Source.EVAL_LIST)]
+        res = run_family_discovery(sc, cod, discovery_spec(repeats=2), eval_list=ref)
         for r in res.runs:
             assert r.eval_report is not None
+            assert r.eval_report.n == len(eval_list_rows())
             assert r.eval_report.baseline_precision == pytest.approx(4 / 6)
             assert isinstance(r.valid, bool)
 
