@@ -15,8 +15,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataset import write_csv
 from .errors import ShapeMismatchError
-from .ptable import ATOMIC_NUMBER, SYMBOLS
+from .ptable import ATOMIC_NUMBER, ELEMENTS
 
 # Basic per-element properties, in the fixed column order of the feature CSV.
 # The table itself ships empty (values come from the user's property source);
@@ -86,12 +87,10 @@ class SingleClassInputError(ValueError):
 
 
 def write_feature_template(path) -> None:
-    """Write an empty feature CSV: header plus one blank row per element."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("symbol",) + FEATURE_NAMES)
-        for symbol in SYMBOLS:
-            writer.writerow([symbol] + [""] * N_BASIC)
+    """Write an empty feature CSV: header plus one blank row per element, in
+    atomic-number order."""
+    write_csv(path, ("symbol",) + FEATURE_NAMES,
+              ([e.symbol] + [None] * N_BASIC for e in ELEMENTS))
 
 
 def load_element_features(path) -> dict[str, np.ndarray]:

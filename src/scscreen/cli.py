@@ -3,8 +3,10 @@
 Every file-producing subcommand works the same way: it creates the output
 directory, writes `manifest.json` there *first* (command echo, seeds,
 input fingerprints, library versions), then computes and writes result
-files next to it. Reruns with the same inputs and seeds reproduce result
-files byte for byte; wall-clock timestamps live only in the manifest.
+files next to it. Each result path comes from `Manifest.output`, so the
+finished manifest lists exactly the files the run wrote. Reruns with the
+same inputs and seeds reproduce result files byte for byte; wall-clock
+timestamps live only in the manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
 divergence. `--config`, `--seed`, `--out`, and `--jobs` can also be set
@@ -91,6 +93,16 @@ def _env_int(name: str) -> int | None:
     return None if raw is None else int(raw)
 
 
+def _open_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"need a number strictly between 0 and 1, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -100,7 +112,10 @@ class Manifest:
     learns more), so a failed run still leaves its trace on disk."""
 
     def __init__(self, out_dir: str, command: str, args: argparse.Namespace):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
         self.path = os.path.join(out_dir, "manifest.json")
+        self.outputs: list[str] = []
         echo = {k: v for k, v in vars(args).items() if k != "func"}
         self.data = {
             "command": command,
@@ -136,16 +151,15 @@ class Manifest:
             f.write("\n")
         os.replace(tmp, self.path)
 
-    def finish(self, *outputs: str) -> None:
-        self.data["outputs"] = sorted(outputs)
+    def output(self, name: str) -> str:
+        """Record `name` as a result file of this run; return its path."""
+        self.outputs.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def finish(self) -> None:
+        self.data["outputs"] = sorted(self.outputs)
         self.data["status"] = "ok"
         self.flush()
-
-
-def _prepare_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _load_spec(args):
@@ -174,21 +188,21 @@ def _start_experiment(args, command: str):
     manifest, spec, and the cleaned `--sc`/`--cod` tables (plus `--eval`
     when the subcommand has one), fingerprinted into the flushed manifest.
 
-    Returns (out, manifest, spec, sc, cod, eval_rows)."""
-    out = _prepare_out(args)
-    manifest = Manifest(out, command, args)
+    Returns (manifest, spec, sc, cod, eval_rows); eval_rows is None without
+    `--eval`."""
+    manifest = Manifest(args.out, command, args)
     spec = _load_spec(args)
     manifest.set_config(spec.describe())
     sc = _load_sc(args.sc)
     cod = _load_cod(args.cod)
     manifest.add_input("sc", args.sc, sc)
     manifest.add_input("cod", args.cod, cod)
-    eval_rows = []
+    eval_rows = None
     if getattr(args, "eval", None):
         eval_rows = _load_eval(args.eval)
         manifest.add_input("eval", args.eval, eval_rows)
     manifest.flush()
-    return out, manifest, spec, sc, cod, eval_rows
+    return manifest, spec, sc, cod, eval_rows
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +219,9 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    out = _prepare_out(args)
-    manifest = Manifest(out, "encode", args)
+    manifest = Manifest(args.out, "encode", args)
     tensor = encode_ptable(parse_composition(args.formula))
-    path = os.path.join(out, "tensor.csv")
+    path = manifest.output("tensor.csv")
     with open(path, "w") as f:
         f.write("channel,row,col,value\n")
         for block in Block:
@@ -216,21 +229,18 @@ def _cmd_encode(args) -> int:
                 for col in range(N_COLS):
                     value = tensor[block.value, row, col]
                     f.write(f"{block.name},{row + 1},{col + 1},{value:.9g}\n")
-    manifest.finish("tensor.csv")
+    manifest.finish()
     print(path)
     return EXIT_OK
 
 
 def _cmd_dataset_build(args) -> int:
-    out = _prepare_out(args)
-    manifest = Manifest(out, "dataset-build", args)
-    outputs = []
+    manifest = Manifest(args.out, "dataset-build", args)
 
     report = ingest_csv(args.sc, Source.SUPERCON)
     sc = clean_sc(report.records)
     manifest.add_input("sc", args.sc, sc)
-    write_records_csv(sc, os.path.join(out, "sc_clean.csv"))
-    outputs.append("sc_clean.csv")
+    write_records_csv(sc, manifest.output("sc_clean.csv"))
     print(
         f"sc: {report.n_rows} rows, {report.n_flagged} flagged, "
         f"{len(sc)} after cleaning"
@@ -240,8 +250,7 @@ def _cmd_dataset_build(args) -> int:
         report = ingest_csv(args.cod, Source.COD)
         cod = clean_catalogue(report.records)
         manifest.add_input("cod", args.cod, cod)
-        write_records_csv(cod, os.path.join(out, "catalogue_clean.csv"))
-        outputs.append("catalogue_clean.csv")
+        write_records_csv(cod, manifest.output("catalogue_clean.csv"))
         print(
             f"catalogue: {report.n_rows} rows, {report.n_flagged} flagged, "
             f"{len(cod)} after cleaning"
@@ -249,17 +258,15 @@ def _cmd_dataset_build(args) -> int:
     if args.eval:
         rows = _load_eval(args.eval)
         manifest.add_input("eval", args.eval, rows)
-        write_records_csv(rows, os.path.join(out, "eval_clean.csv"))
-        outputs.append("eval_clean.csv")
+        write_records_csv(rows, manifest.output("eval_clean.csv"))
         print(f"eval: {len(rows)} rows")
 
-    manifest.finish(*outputs)
+    manifest.finish()
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    out = _prepare_out(args)
-    manifest = Manifest(out, "train", args)
+    manifest = Manifest(args.out, "train", args)
     spec = _load_spec(args)
     manifest.set_config(spec.describe())
     rows = spec.training_filter.apply(_load_sc(args.data))
@@ -268,32 +275,32 @@ def _cmd_train(args) -> int:
 
     samples = [(r.composition, r.tc_kelvin) for r in rows]
     params, trace = train(samples, spec.model, spec.train)
-    save_checkpoint(params, os.path.join(out, "model.npz"))
-    with open(os.path.join(out, "trace.csv"), "w") as f:
+    save_checkpoint(params, manifest.output("model.npz"))
+    with open(manifest.output("trace.csv"), "w") as f:
         f.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(trace):
             f.write(f"{epoch},{loss:.9g}\n")
-    manifest.finish("model.npz", "trace.csv")
+    manifest.finish()
     final = f"{trace[-1]:.9g}" if trace else "n/a"
     print(f"trained on {len(samples)} samples for {len(trace)} epochs, final loss {final}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    out, manifest, spec, sc, cod, eval_rows = _start_experiment(args, "evaluate")
+    manifest, spec, sc, cod, eval_rows = _start_experiment(args, "evaluate")
     reports = run_temporal_eval(sc, cod, eval_rows, spec)
-    write_reports_csv(reports, os.path.join(out, "reports.csv"))
-    manifest.finish("reports.csv")
+    write_reports_csv(reports, manifest.output("reports.csv"))
+    manifest.finish()
     print(report_table_text(reports))
     return EXIT_OK
 
 
 def _cmd_screen(args) -> int:
-    out, manifest, spec, sc, cod, _ = _start_experiment(args, "screen")
+    manifest, spec, sc, cod, _ = _start_experiment(args, "screen")
     result = run_candidate_screen(sc, cod, spec, jobs=args.jobs)
-    write_candidates_csv(result, os.path.join(out, "candidates.csv"))
-    write_threshold_counts_csv(result, os.path.join(out, "threshold_counts.csv"))
-    manifest.finish("candidates.csv", "threshold_counts.csv")
+    write_candidates_csv(result, manifest.output("candidates.csv"))
+    write_threshold_counts_csv(result, manifest.output("threshold_counts.csv"))
+    manifest.finish()
     print(
         f"screened {len(result.rows) + result.n_excluded} materials in "
         f"{result.n_folds} folds ({result.n_excluded} known-family rows dropped)"
@@ -304,11 +311,11 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    out, manifest, spec, sc, cod, eval_rows = _start_experiment(args, "discover")
+    manifest, spec, sc, cod, eval_rows = _start_experiment(args, "discover")
     result = run_family_discovery(sc, cod, spec, eval_list=eval_rows, jobs=args.jobs)
-    write_runs_csv(result, os.path.join(out, "runs.csv"))
-    write_histogram_csv(result.histogram, os.path.join(out, "histogram.csv"))
-    manifest.finish("runs.csv", "histogram.csv")
+    write_runs_csv(result, manifest.output("runs.csv"))
+    write_histogram_csv(result.histogram, manifest.output("histogram.csv"))
+    manifest.finish()
     positives = [r.n_positive for r in result.runs]
     print(
         f"{result.family.name}: {len(result.runs)} runs over {result.n_test} "
@@ -326,8 +333,7 @@ def _cmd_baseline(args) -> int:
     for name in ("sc", "cod", "features"):
         if getattr(args, name) is None:
             raise _UsageError(f"--{name} is required (unless --template is given)")
-    out = _prepare_out(args)
-    manifest = Manifest(out, "baseline", args)
+    manifest = Manifest(args.out, "baseline", args)
     sc = _load_sc(args.sc)
     cod = _load_cod(args.cod)
     manifest.add_input("sc", args.sc, sc)
@@ -349,8 +355,8 @@ def _cmd_baseline(args) -> int:
     pred, _ = predict_forest(model, features[test_idx])
     truth = labels[test_idx] == 1
     report = confusion_counts(pred == 1, truth, args.threshold, float(truth.mean()))
-    write_reports_csv([report], os.path.join(out, "baseline_report.csv"))
-    manifest.finish("baseline_report.csv")
+    write_reports_csv([report], manifest.output("baseline_report.csv"))
+    manifest.finish()
     print(report_table_text([report], labels=[f"forest @ {args.threshold:g} K"]))
     return EXIT_OK
 
@@ -435,7 +441,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", help="element feature table CSV")
     p.add_argument("--template", help="write a blank feature table here and exit")
     p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--test-fraction", type=float, default=0.1, dest="test_fraction")
+    p.add_argument("--test-fraction", type=_open_fraction, default=0.1, dest="test_fraction")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="Tc above which a row counts as superconducting")
     seed_flag(p, help_text="forest and split seed")

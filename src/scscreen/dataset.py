@@ -132,6 +132,30 @@ def ingest_csv(path, source: Source) -> IngestReport:
     return IngestReport(records, n_rows, n_rows - n_flagged, n_flagged)
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one result table. Every table shares one cell rule: floats as
+    `.9g`, None as an empty cell, bools as true/false, enums by value, and
+    anything else as its `str`. Lines end in CRLF (`csv.writer`'s default)."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
 def drop_flagged(records: Iterable[MaterialRecord]) -> list[MaterialRecord]:
     return [r for r in records if r.flagged_reason is None]
 
@@ -307,18 +331,9 @@ def dataset_fingerprint(records: Sequence[MaterialRecord]) -> str:
 
 def write_records_csv(records: Sequence[MaterialRecord], path) -> None:
     """Write records back out in the ingest schema plus bookkeeping columns."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["formula", "tc_K", "year", "source", "family", "flagged_reason"])
-        for r in records:
-            family = "" if r.composition is None else classify_family(r.composition).value
-            w.writerow(
-                [
-                    r.raw_formula,
-                    "" if r.tc_kelvin is None else f"{r.tc_kelvin:.9g}",
-                    "" if r.year is None else r.year,
-                    r.source.value,
-                    family,
-                    r.flagged_reason or "",
-                ]
-            )
+    header = ["formula", "tc_K", "year", "source", "family", "flagged_reason"]
+    write_csv(path, header, (
+        [r.raw_formula, r.tc_kelvin, r.year, r.source,
+         None if r.composition is None else classify_family(r.composition), r.flagged_reason]
+        for r in records
+    ))

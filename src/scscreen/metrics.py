@@ -9,12 +9,13 @@ since a fake zero poisons averages across runs.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import write_csv
 from .errors import LengthMismatchError
 
 
@@ -170,42 +171,14 @@ def report_table_text(reports: Sequence[EvalReport], labels: Sequence[str] | Non
 
 
 def write_reports_csv(reports: Sequence[EvalReport], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            [
-                "threshold_K",
-                "tp",
-                "fp",
-                "tn",
-                "fn",
-                "precision",
-                "recall",
-                "f1",
-                "accuracy",
-                "baseline_precision",
-            ]
-        )
-        for r in reports:
-            w.writerow(
-                [
-                    f"{r.threshold_kelvin:.9g}",
-                    r.tp,
-                    r.fp,
-                    r.tn,
-                    r.fn,
-                    UNDEFINED_TEXT if r.precision is None else f"{r.precision:.9g}",
-                    UNDEFINED_TEXT if r.recall is None else f"{r.recall:.9g}",
-                    UNDEFINED_TEXT if r.f1 is None else f"{r.f1:.9g}",
-                    f"{r.accuracy:.9g}",
-                    UNDEFINED_TEXT if r.baseline_precision is None else f"{r.baseline_precision:.9g}",
-                ]
-            )
+    """One row per report; the columns follow EvalReport's fields."""
+    header = ["threshold_K", "tp", "fp", "tn", "fn", "precision", "recall", "f1",
+              "accuracy", "baseline_precision"]
+    write_csv(path, header, (
+        [UNDEFINED_TEXT if v is None else v for v in dataclasses.astuple(r)] for r in reports
+    ))
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(hist.counts):
-            w.writerow([f"{hist.edges[i]:.9g}", f"{hist.edges[i + 1]:.9g}", int(c)])
+    write_csv(path, ["bin_left", "bin_right", "count"],
+              zip(hist.edges[:-1], hist.edges[1:], hist.counts))

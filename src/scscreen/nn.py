@@ -205,14 +205,16 @@ class ModelParams:
         return out
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
@@ -536,7 +538,7 @@ def adam_step(
         if a.shape != g.shape:
             raise ShapeMismatchError(f"gradient shape {g.shape} != parameter {a.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
@@ -544,7 +546,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        a -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        a -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 

@@ -36,6 +36,7 @@ from .dataset import (
     garbage_in,
     remove_overlap,
     rotating_folds,
+    write_csv,
 )
 from .errors import UnknownFieldError
 from .formula import Composition, FormulaError, parse_composition
@@ -56,8 +57,6 @@ from .nn import (
     predict,
     train,
 )
-
-import csv
 
 
 class LeakageError(RuntimeError):
@@ -421,21 +420,13 @@ def run_candidate_screen(
 
 
 def write_candidates_csv(clist: CandidateList, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["formula", "predicted_tc_K", "fold_id", "family"])
-        for r in clist.rows:
-            w.writerow(
-                [r.formula, f"{r.predicted_tc_kelvin:.9g}", r.fold_id, r.family.value]
-            )
+    write_csv(path, ["formula", "predicted_tc_K", "fold_id", "family"], (
+        [r.formula, r.predicted_tc_kelvin, r.fold_id, r.family] for r in clist.rows
+    ))
 
 
 def write_threshold_counts_csv(clist: CandidateList, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["threshold_K", "count"])
-        for t, c in clist.threshold_counts:
-            w.writerow([f"{t:.9g}", c])
+    write_csv(path, ["threshold_K", "count"], clist.threshold_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +516,7 @@ def run_family_discovery(
     cod_data: Sequence[MaterialRecord],
     spec: ExperimentSpec,
     *,
-    eval_list: Sequence[MaterialRecord] = (),
+    eval_list: Sequence[MaterialRecord] | None = None,
     jobs: int = 1,
 ) -> DiscoveryResult:
     """Hold out one whole family (spec.test_set) and retrain spec.repeats
@@ -539,7 +530,8 @@ def run_family_discovery(
     also predicts it and is flagged invalid if its precision at the lowest
     configured threshold fails to beat always-guessing-positive. Reference
     rows that match a training row are dropped from that check, as
-    `run_temporal_eval` drops them from its list.
+    `run_temporal_eval` drops them from its list; a list that leaves no row
+    to score is an EmptyDatasetError, never a silently skipped check.
     """
     target = _family(spec.test_set)
     test_rows = [
@@ -559,11 +551,13 @@ def run_family_discovery(
             f"after filtering, e.g. {leaked[0].raw_formula!r}"
         )
     train_rows, (test_rows, eval_rows) = _hold_out(
-        sc_train, cod_data, spec, [test_rows, _trainable(eval_list)],
+        sc_train, cod_data, spec, [test_rows, _trainable(eval_list or ())],
         f"{target.name} discovery",
     )
     if not test_rows:
         raise EmptyDatasetError("held-out family fully overlaps training data")
+    if eval_list is not None and not eval_rows:
+        raise EmptyDatasetError("reference list is empty after overlap removal")
 
     samples = _samples(train_rows)
     test_comps = [r.composition for r in test_rows]
@@ -608,23 +602,11 @@ def run_family_discovery(
 
 
 def write_runs_csv(result: DiscoveryResult, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["run_index", "model_seed", "shuffle_seed", "n_positive", "precision", "baseline_precision", "valid"]
-        )
-        for r in result.runs:
-            rep = r.eval_report
-            precision = "" if rep is None or rep.precision is None else f"{rep.precision:.9g}"
-            base = "" if rep is None or rep.baseline_precision is None else f"{rep.baseline_precision:.9g}"
-            w.writerow(
-                [
-                    r.run_index,
-                    r.model_seed,
-                    r.shuffle_seed,
-                    r.n_positive,
-                    precision,
-                    base,
-                    "" if r.valid is None else str(r.valid).lower(),
-                ]
-            )
+    header = ["run_index", "model_seed", "shuffle_seed", "n_positive", "precision",
+              "baseline_precision", "valid"]
+    write_csv(path, header, (
+        [r.run_index, r.model_seed, r.shuffle_seed, r.n_positive,
+         None if r.eval_report is None else r.eval_report.precision,
+         None if r.eval_report is None else r.eval_report.baseline_precision, r.valid]
+        for r in result.runs
+    ))

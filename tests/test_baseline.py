@@ -24,7 +24,7 @@ from scscreen.baseline import (
     write_feature_template,
 )
 from scscreen.formula import normalize
-from scscreen.ptable import SYMBOLS
+from scscreen.ptable import ELEMENTS, SYMBOLS
 
 
 def table_for(values_by_symbol):
@@ -147,6 +147,13 @@ class TestFeatureCsv:
         table = load_element_features(path)
         assert set(table) == {"Nb"}
         assert np.array_equal(table["Nb"], np.arange(32.0))
+
+    def test_template_rows_in_atomic_number_order(self, tmp_path):
+        # the same file from every process, whatever the string-hash seed
+        path = tmp_path / "features.csv"
+        write_feature_template(path)
+        symbols = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert symbols == [e.symbol for e in ELEMENTS]
 
     def test_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"

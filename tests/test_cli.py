@@ -138,6 +138,15 @@ class TestManifest:
         assert (tmp_path / "manifest.json").read_text() == before
         assert json.loads(before)["status"] == "started"
 
+    def test_lists_the_outputs_it_handed_out(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        manifest = cli.Manifest(str(out), "encode", argparse.Namespace(formula="Nb"))
+        assert manifest.output("b.csv") == str(out / "b.csv")
+        manifest.output("a.csv")
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+        manifest.finish()
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["a.csv", "b.csv"]
+
 
 class TestDatasetBuild:
     def test_clean_and_report(self, world, capsys):
@@ -301,6 +310,21 @@ class TestDiscover:
         assert hist[0] == ["bin_left", "bin_right", "count"]
         assert sum(int(r[2]) for r in hist[1:]) == 2
 
+    def test_reference_list_with_nothing_to_score_is_data_error(self, world, tmp_path, capsys):
+        fesc = tmp_path / "sc_fesc.csv"
+        from scscreen.dataset import Source, make_record
+        write_input_csv(fesc, sc_world() + [make_record("FeSe", 8.0, 2008, Source.SUPERCON)])
+        ref = tmp_path / "ref.csv"
+        write_input_csv(ref, [make_record("Nb2Al6", 6.25, 2012, Source.EVAL_LIST),
+                              make_record("Nb4Si4", 12.5, 2012, Source.EVAL_LIST)])
+        cfg = write_config(tmp_path / "cfg.json",
+                           training_filter={"year_before": 2008}, test_set="FESC")
+        assert main(["discover", "--config", cfg, "--sc", str(fesc),
+                     "--cod", str(world["cod"]), "--eval", str(ref),
+                     "--out", str(world["out"])]) == 2
+        assert "reference list" in capsys.readouterr().err
+        assert not (world["out"] / "runs.csv").exists()
+
 
 def write_features_csv(path, symbols):
     with open(path, "w", newline="") as f:
@@ -330,6 +354,17 @@ class TestBaseline:
             rows = list(csv.reader(f))
         assert len(rows) == 2
         assert rows[0][0] == "threshold_K"
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
+    def test_test_fraction_outside_open_interval_is_usage_error(self, world, tmp_path,
+                                                                 capsys, fraction):
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", "5",
+                     "--test-fraction", fraction, "--out", str(world["out"])]) == 1
+        assert "--test-fraction" in capsys.readouterr().err
+        assert not world["out"].exists()
 
     def test_missing_features_flag_is_usage_error(self, world, capsys):
         assert main(["baseline", "--sc", str(world["sc"]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scscreen import dataset as ds
+from scscreen.baseline import FEATURE_NAMES, N_BASIC, write_feature_template
 from scscreen.dataset import (
     FamilyLabel,
     FoldTooLargeError,
@@ -27,7 +28,18 @@ from scscreen.dataset import (
     write_records_csv,
 )
 from scscreen.formula import parse_composition
-from scscreen.screen import build_training_filter
+from scscreen.metrics import EvalReport, Histogram, write_histogram_csv, write_reports_csv
+from scscreen.ptable import ELEMENTS
+from scscreen.screen import (
+    CandidateList,
+    CandidateRow,
+    DiscoveryResult,
+    RunReport,
+    build_training_filter,
+    write_candidates_csv,
+    write_runs_csv,
+    write_threshold_counts_csv,
+)
 
 
 def rec(formula, tc=None, year=None, source=Source.SUPERCON):
@@ -321,3 +333,81 @@ def test_records_csv_round_trip(tmp_path):
     report = ingest_csv(path, Source.SUPERCON)
     assert report.n_rows == 2
     assert report.records[0].composition == parse_composition("YBa2Cu3O7")
+
+
+def test_result_tables_exact_bytes(tmp_path):
+    """Every result-table writer, byte for byte: CRLF line ends, `.9g`
+    floats, `--` for an undefined ratio in reports.csv, empty cells for a
+    missing value, `true`/`false`, and enum columns by value."""
+    full = EvalReport(4.0, 2, 1, 3, 0, 2 / 3, 1.0, 0.8, 5 / 6, 0.5)
+    undefined = EvalReport(0.5, 0, 0, 4, 2, None, 0.0, None, 2 / 3, None)
+    candidates = CandidateList(
+        rows=[
+            CandidateRow("Nb3Sn", float(np.float32(17.3)), 1, FamilyLabel.CONVENTIONAL),
+            CandidateRow("MgB2", 1e-12, 0, FamilyLabel.CONVENTIONAL),
+        ],
+        threshold_counts=[(0.0, 2), (10.5, 1)],
+        n_folds=2,
+        fold_seed=7,
+        model_seeds=[7, 8],
+        n_excluded=1,
+        training_fingerprint="",
+        corpus_fingerprint="",
+    )
+    discovery = DiscoveryResult(
+        family=FamilyLabel.FESC,
+        histogram=Histogram(np.array([1]), np.array([0.5, 1.5])),
+        runs=[
+            RunReport(0, 7, 3, 4, full, True),
+            RunReport(1, 8, 4, 0, None, None),
+            RunReport(2, 9, 5, 1, undefined, False),
+        ],
+        n_test=4,
+        training_fingerprint="",
+        test_fingerprint="",
+    )
+    records = [
+        rec("YBa2Cu3O7", 92.5, 1987),
+        rec("Qq"),
+        rec("LaFeAsO", None, 2008, Source.EVAL_LIST),
+        rec("NbN", 0.0, None, Source.SYNTHETIC_NEGATIVE),
+    ]
+    write_reports_csv([full, undefined], tmp_path / "reports.csv")
+    write_histogram_csv(
+        Histogram(np.array([1, 0, 2], dtype=np.int64), np.arange(4) - 0.5),
+        tmp_path / "histogram.csv",
+    )
+    write_candidates_csv(candidates, tmp_path / "candidates.csv")
+    write_threshold_counts_csv(candidates, tmp_path / "threshold_counts.csv")
+    write_runs_csv(discovery, tmp_path / "runs.csv")
+    write_records_csv(records, tmp_path / "records.csv")
+    write_feature_template(tmp_path / "template.csv")
+
+    expected = {
+        "reports.csv": b"threshold_K,tp,fp,tn,fn,precision,recall,f1,accuracy,baseline_precision\r\n"
+        b"4,2,1,3,0,0.666666667,1,0.8,0.833333333,0.5\r\n"
+        b"0.5,0,0,4,2,--,0,--,0.666666667,--\r\n",
+        "histogram.csv": b"bin_left,bin_right,count\r\n"
+        b"-0.5,0.5,1\r\n0.5,1.5,0\r\n1.5,2.5,2\r\n",
+        "candidates.csv": b"formula,predicted_tc_K,fold_id,family\r\n"
+        b"Nb3Sn,17.2999992,1,conventional\r\n"
+        b"MgB2,1e-12,0,conventional\r\n",
+        "threshold_counts.csv": b"threshold_K,count\r\n0,2\r\n10.5,1\r\n",
+        "runs.csv": b"run_index,model_seed,shuffle_seed,n_positive,precision,baseline_precision,valid\r\n"
+        b"0,7,3,4,0.666666667,0.5,true\r\n"
+        b"1,8,4,0,,,\r\n"
+        b"2,9,5,1,,,false\r\n",
+        "records.csv": b"formula,tc_K,year,source,family,flagged_reason\r\n"
+        b"YBa2Cu3O7,92.5,1987,supercon,cuprate,\r\n"
+        b"Qq,,,supercon,,UnknownElementError\r\n"
+        b"LaFeAsO,,2008,eval_list,fesc,\r\n"
+        b"NbN,0,,synthetic_negative,conventional,\r\n",
+    }
+    for name, content in expected.items():
+        assert (tmp_path / name).read_bytes() == content, name
+
+    # the template's row order is pinned by test_baseline; here only its bytes
+    header, *body = (tmp_path / "template.csv").read_bytes().split(b"\r\n")
+    assert header == b",".join([b"symbol", *(n.encode() for n in FEATURE_NAMES)])
+    assert body[-1] == b""
+    assert sorted(body[:-1]) == sorted(e.symbol.encode() + b"," * N_BASIC for e in ELEMENTS)

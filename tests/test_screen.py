@@ -517,6 +517,14 @@ class TestFamilyDiscovery:
             assert r.eval_report.baseline_precision == pytest.approx(4 / 6)
             assert isinstance(r.valid, bool)
 
+    def test_reference_list_with_nothing_to_score_rejected(self):
+        # both rows are pre-2008 training rows, so no run could be checked
+        sc, cod = discovery_world()
+        ref = [rec("Nb2Al6", 6.25, 2012, Source.EVAL_LIST),
+               rec("Nb4Si4", 12.5, 2012, Source.EVAL_LIST)]
+        with pytest.raises(EmptyDatasetError, match="reference list"):
+            run_family_discovery(sc, cod, discovery_spec(), eval_list=ref)
+
     def test_family_exclusion_rule_works_like_year_bound(self):
         sc, cod = discovery_world()
         spec = discovery_spec(
