@@ -349,6 +349,11 @@ def _cmd_baseline(args) -> int:
     perm = rng.permutation(len(rows))
     n_test = max(1, int(round(len(rows) * args.test_fraction)))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
+    if labels[train_idx].sum() in (0, len(train_idx)):
+        raise ValueError(
+            f"--test-fraction {args.test_fraction:g} leaves {len(train_idx)} training "
+            f"and {n_test} test rows; the forest needs training rows of both classes"
+        )
     model = train_forest(
         features[train_idx], labels[train_idx], n_trees=args.trees, seed=args.seed, jobs=args.jobs
     )

@@ -30,6 +30,9 @@ the call returns; no view into it ever escapes the call. `forward` and
 input buffer and forward it whole on one workspace. So their peak memory
 does not grow with the number of rows, and every GEMM has one shape, which
 makes a row's prediction independent of how many rows the call has.
+`train` keeps only each row's nonzero cells (index and value) and writes
+each batch into one reused buffer, so its memory grows by about k × 12 B
+per row for k elements instead of a dense row's 3,584 B.
 
 `config_echo` and `config_from_dict` are the one JSON form of the config
 dataclasses, shared by experiment specs, manifests and checkpoints.
@@ -46,7 +49,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ShapeMismatchError, UnknownFieldError
-from .ptable import TENSOR_SHAPE, encode_ptable_batch
+from .ptable import TENSOR_SHAPE, TENSOR_SIZE, encode_ptable_batch
 
 H_GRID, W_GRID = 7, 32
 N_CELLS = H_GRID * W_GRID  # global-average-pool divisor
@@ -562,6 +565,49 @@ def _paired_loss(head: Head, loss: Loss) -> None:
         raise ValueError(f"loss {loss.name} does not fit head {head.name}")
 
 
+def _nonzero_cells(
+    comps: Sequence[Mapping[str, float]], dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each composition's nonzero cells as two (n, k) arrays: the flat index
+    into a channel-last (7, 32, 4) row, and the value in `dtype`.
+
+    k is the most nonzero cells in any row. A shorter row repeats its first
+    cell (a row with none holds cell 0 at zero), so scattering a row writes
+    each cell once with its one value. Rows are encoded _INFER_ROWS at a
+    time; the (n, k) layout is built once, after the last chunk.
+    """
+    pos, vals = [], []
+    for lo in range(0, len(comps), _INFER_ROWS):
+        flat = encode_ptable_batch(comps[lo : lo + _INFER_ROWS]).reshape(-1)
+        nz = np.flatnonzero(flat != 0)  # a bool mask scans ~8x faster than floats
+        pos.append(nz + lo * TENSOR_SIZE)
+        vals.append(flat[nz].astype(dtype))
+    row, chw = np.divmod(np.concatenate(pos), TENSOR_SIZE)
+    channel, hw = np.divmod(chw, N_CELLS)
+    cell = hw * TENSOR_SHAPE[0] + channel  # channel-first -> channel-last
+    counts = np.bincount(row, minlength=len(comps))
+    k = max(int(counts.max()), 1)
+    rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    cells = np.zeros((len(comps), k), np.intp)
+    values = np.zeros((len(comps), k), dtype)
+    cells[row, rank] = cell
+    values[row, rank] = np.concatenate(vals)
+    pad = np.arange(k) >= counts[:, None]
+    return np.where(pad, cells[:, :1], cells), np.where(pad, values[:, :1], values)
+
+
+def _scatter_rows(
+    cells: np.ndarray, values: np.ndarray, idx: np.ndarray, ws: dict
+) -> np.ndarray:
+    """Rows `idx` of `_nonzero_cells` output as a channel-last
+    (len(idx), 7, 32, 4) batch: one workspace buffer, zeroed, with each
+    row's cells written in. It holds the same bits as the dense rows."""
+    x = _ws_buf(ws, ("x",), (len(idx), TENSOR_SIZE), values.dtype)
+    x.fill(0)
+    x[np.arange(len(idx))[:, None], cells[idx]] = values[idx]
+    return x.reshape(len(idx), H_GRID, W_GRID, TENSOR_SHAPE[0])
+
+
 def train(
     samples: Sequence[tuple[Mapping[str, float], float]],
     model_cfg: ModelConfig,
@@ -577,6 +623,10 @@ def train(
     deterministic given the two seeds (parameter init and epoch shuffling).
     Returns the trained parameters and the per-epoch mean training loss.
 
+    Compositions are encoded once, _INFER_ROWS at a time, and only their
+    nonzero cells are kept; each step writes its batch into one zeroed
+    buffer, so the network sees the same bits as from the dense tensor.
+
     `on_epoch(epoch, params, mean_loss)` runs after every epoch; returning
     truthy stops training early (used for hold-out-target stopping).
     """
@@ -590,10 +640,7 @@ def train(
     else:
         targets = (tc > label_threshold).astype(np.float64)
     n = len(samples)
-    x = np.empty((n, H_GRID, W_GRID, TENSOR_SHAPE[0]), model_cfg.np_dtype)
-    for lo in range(0, n, _INFER_ROWS):
-        rows = encode_ptable_batch(comps[lo : lo + _INFER_ROWS])
-        x[lo : lo + _INFER_ROWS] = rows.transpose(0, 2, 3, 1)
+    cells, values = _nonzero_cells(comps, model_cfg.np_dtype)
 
     params = init_params(model_cfg)
     state = init_adam(params)
@@ -605,7 +652,7 @@ def train(
         total = 0.0
         for step, start in enumerate(range(0, n, train_cfg.batch_size)):
             idx = perm[start : start + train_cfg.batch_size]
-            raw, cache = _forward_cached(params, x[idx], ws)
+            raw, cache = _forward_cached(params, _scatter_rows(cells, values, idx, ws), ws)
             if train_cfg.loss is Loss.SMOOTH_L1:
                 loss, dout = smooth_l1_loss(raw.astype(np.float64), targets[idx])
             else:

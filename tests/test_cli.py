@@ -366,6 +366,23 @@ class TestBaseline:
         assert "--test-fraction" in capsys.readouterr().err
         assert not world["out"].exists()
 
+    @pytest.mark.parametrize("fraction", ["0.99", "0.97"])
+    def test_test_fraction_leaving_one_class_is_data_error(self, world, tmp_path, capsys,
+                                                           fraction):
+        # of the world's 68 rows, 0.99 leaves one for training and 0.97 two of
+        # one class; the error names the flag and the split, not the forest's
+        # input check
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", "5",
+                     "--test-fraction", fraction, "--out", str(world["out"])]) == 2
+        err = capsys.readouterr().err
+        n_train = {"0.99": 1, "0.97": 2}[fraction]
+        assert f"--test-fraction {fraction} leaves {n_train} training and " in err
+        assert f"and {68 - n_train} test rows" in err
+        assert not (world["out"] / "baseline_report.csv").exists()
+
     def test_missing_features_flag_is_usage_error(self, world, capsys):
         assert main(["baseline", "--sc", str(world["sc"]),
                      "--cod", str(world["cod"])]) == 1

@@ -477,6 +477,16 @@ class TestAdam:
             adam_step(params, grads, state, 1e-3)
 
 
+@st.composite
+def element_mix(draw):
+    """A normalized composition of 1 to 6 elements, first and last rows of
+    the table included."""
+    pool = ["H", "He", "Li", "Nb", "O", "Cu", "La", "Lu", "U", "Fe", "Sn", "Og"]
+    syms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(syms), max_size=len(syms)))
+    return normalize(dict(zip(syms, weights)))
+
+
 def toy_samples(n=24, seed=0):
     rng = np.random.default_rng(seed)
     pool = ["Nb", "Ti", "Cu", "O", "Fe", "Si"]
@@ -563,6 +573,44 @@ class TestTrain:
     def test_negative_tc_rejected(self):
         with pytest.raises(NegativeTcError):
             train([({"Nb": 1.0}, -4.0)], tiny_cfg(), TrainConfig(epochs=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        comps=st.lists(element_mix(), min_size=1, max_size=70),
+        batch=st.integers(2, 32),
+        dtype=st.sampled_from(["float32", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scattered_batch_equals_dense_rows(self, comps, batch, dtype, seed):
+        # H is flat cell 0; the appended row makes the last batch short
+        comps = [{"H": 1.0}, *comps]
+        if len(comps) % batch == 0:
+            comps.append({"H": 0.25, "Nb": 0.75})
+        dense = encode_ptable_batch(comps).transpose(0, 2, 3, 1).astype(dtype)
+        cells, values = nn._nonzero_cells(comps, dtype)
+        perm = np.random.default_rng(seed).permutation(len(comps))
+        ws = {}
+        for start in range(0, len(comps), batch):
+            idx = perm[start : start + batch]
+            x = nn._scatter_rows(cells, values, idx, ws)
+            assert x.dtype == dense.dtype and x.shape == (len(idx), 7, 32, 4)
+            assert x.tobytes() == dense[idx].tobytes()
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # training keeps each row's nonzero cells, not a dense 3,584 B row
+        cfg = ModelConfig(conv_layers=1, channels_per_layer=2)
+        peaks = {}
+        for rows in (250, 4000):
+            samples = [(c, 1.0) for c in random_comps(np.random.default_rng(0), rows)]
+            tracemalloc.start()
+            try:
+                train(samples, cfg, TrainConfig(epochs=1))
+                _, peaks[rows] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[4000] - peaks[250]) < 1e6, (
+            f"{peaks[250] / 1e6:.2f} MB at 250 rows, {peaks[4000] / 1e6:.2f} MB at 4000"
+        )
 
 
 class TestPredict:

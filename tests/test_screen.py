@@ -318,6 +318,12 @@ class TestCandidateScreen:
         assert again.rows == result.rows
         assert again.threshold_counts == result.threshold_counts
 
+    def test_thread_invariant(self, result):
+        # folds train in threads, each on its own workspace
+        threaded = run_candidate_screen(sc_world(), screen_cod(), screen_spec(), jobs=2)
+        assert threaded.rows == result.rows
+        assert threaded.threshold_counts == result.threshold_counts
+
     def test_duplicate_catalogue_composition_is_leakage(self):
         # the second pair is one material to within 1e-6 in every fraction;
         # the message names the collision by its canonical formula. At fold
