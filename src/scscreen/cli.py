@@ -93,6 +93,16 @@ def _env_int(name: str) -> int | None:
     return None if raw is None else int(raw)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {text!r}")
+    return value
+
+
 def _open_fraction(text: str) -> float:
     try:
         value = float(text)
@@ -387,7 +397,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=_env_int("SEED"), help=help_text)
 
     def jobs_flag(p):
-        p.add_argument("--jobs", type=int, default=_env_int("JOBS") or 1,
+        p.add_argument("--jobs", type=_at_least_one, default=_env_int("JOBS") or 1,
                        help="max concurrent workers")
 
     def config_flag(p):
@@ -445,7 +455,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cod")
     p.add_argument("--features", help="element feature table CSV")
     p.add_argument("--template", help="write a blank feature table here and exit")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=_at_least_one, default=100)
     p.add_argument("--test-fraction", type=_open_fraction, default=0.1, dest="test_fraction")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="Tc above which a row counts as superconducting")

@@ -285,6 +285,16 @@ class TestScreen:
                      "--cod", str(world["cod"])]) == 0
         assert (world["out"] / "candidates.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
+    def test_jobs_below_one_or_not_whole_is_usage_error(self, world, tmp_path, capsys, jobs):
+        # 0 and -3 used to run sequentially without a word
+        cfg = write_config(tmp_path / "cfg.json", fold_size=12)
+        assert main(["screen", "--config", cfg, "--sc", str(world["sc"]),
+                     "--cod", str(world["cod"]), "--jobs", jobs,
+                     "--out", str(world["out"])]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not world["out"].exists()
+
 
 class TestDiscover:
     def test_runs_and_histogram(self, world, tmp_path):
@@ -364,6 +374,18 @@ class TestBaseline:
                      "--features", str(feats), "--trees", "5",
                      "--test-fraction", fraction, "--out", str(world["out"])]) == 1
         assert "--test-fraction" in capsys.readouterr().err
+        assert not world["out"].exists()
+
+    @pytest.mark.parametrize("trees", ["0", "-1", "2.5"])
+    def test_trees_below_one_or_not_whole_is_usage_error(self, world, tmp_path, capsys,
+                                                         trees):
+        # 0 used to fail as a data error (exit 2) that did not name the flag
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", trees,
+                     "--out", str(world["out"])]) == 1
+        assert "--trees" in capsys.readouterr().err
         assert not world["out"].exists()
 
     @pytest.mark.parametrize("fraction", ["0.99", "0.97"])

@@ -1,6 +1,7 @@
 """Network forward/backward against hand oracles and finite differences."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -405,8 +406,8 @@ class TestBackwardStructure:
         for rows in (4, 3, 5):
             batch = encode_ptable_batch(random_comps(rng, rows))
             targets = rng.normal(0.0, 1.5, rows)
-            x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
-            raw, cache = nn._forward_cached(params, x, ws)
+            x = nn._nhwc(batch, params.config.np_dtype)
+            raw, cache = nn._forward_cached(params, nn._cell_entries(x), rows, ws)
             _, dout = smooth_l1_loss(raw, targets)
             pooled = nn._backward_cached(params, cache, dout, ws)
             public = backward(params, batch, targets, Loss.SMOOTH_L1)
@@ -499,6 +500,106 @@ def toy_samples(n=24, seed=0):
     return out
 
 
+def dense_conv0(w, b, x, dpre):
+    """The im2col first layer that the cell-reading one replaced: the
+    pre-activation (n * 224, c_out) and the weight gradient given the
+    output gradient `dpre`, for a channel-last (n, 7, 32, c_in) batch."""
+    n, c_in, c_out = len(x), w.shape[0], w.shape[1]
+    pad = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    taps = [pad[:, ky : ky + 7, kx : kx + 32] for ky in range(3) for kx in range(3)]
+    cols = np.stack(taps, axis=3).reshape(n * N_CELLS, 9 * c_in)  # (ky, kx, c) features
+    pre = cols @ w.transpose(2, 3, 0, 1).reshape(9 * c_in, c_out) + b
+    d_w = (cols.T @ dpre).reshape(3, 3, c_in, c_out).transpose(2, 3, 0, 1)
+    return pre, d_w
+
+
+def sparse_conv0(w, b, entries, n, dpre):
+    """nn's first layer on `entries`: pre-activation and weight gradient."""
+    pre, taps = nn._conv0(w, b, entries, n, {})
+    padded = np.concatenate([dpre, np.zeros((1, dpre.shape[1]), dpre.dtype)])
+    return pre.copy(), nn._conv0_weight_grad(taps, padded, w.shape[0], {})
+
+
+def assert_reassociated(got, w, b, x, dpre, rtol):
+    """got == the dense reference up to rounding: each output may differ by
+    rtol times the sum of its terms' magnitudes."""
+    ref = dense_conv0(w, b, x, dpre)
+    scale = dense_conv0(np.abs(w), np.abs(b), np.abs(x), np.abs(dpre))
+    for name, g, r, m in zip(("pre-activation", "weight gradient"), got, ref, scale):
+        assert g.shape == r.shape and g.dtype == r.dtype, name
+        assert np.all(np.abs(g - r) <= rtol * m), name
+
+
+CORNERS = {"H": 1.0, "He": 2.0, "Fr": 3.0, "Og": 4.0}  # (0, 0), (0, 31), (6, 0), (6, 31)
+
+
+class TestFirstLayer:
+    """Layer 0 reads cells; it must match the dense im2col layer."""
+
+    RTOL = {"float32": 1e-5, "float64": 1e-12}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        comps=st.lists(element_mix(), min_size=0, max_size=40),
+        c_out=st.sampled_from([1, 4, 32]),
+        dtype=st.sampled_from(["float32", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, comps, c_out, dtype, seed):
+        # the four grid corners, one-element rows, and rows shorter than the
+        # longest (so padded) in one batch
+        comps = [{"Og": 1.0}, normalize(CORNERS), {"H": 1.0}, *comps, {"Fr": 1.0}]
+        n = len(comps)
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0.0, 0.5, (4, c_out, 3, 3)).astype(dtype)
+        b = rng.normal(0.0, 0.1, c_out).astype(dtype)
+        dpre = rng.normal(0.0, 1.0, (n * N_CELLS, c_out)).astype(dtype)
+        x = encode_ptable_batch(comps).transpose(0, 2, 3, 1).astype(dtype)
+
+        cells, values = nn._nonzero_cells(comps, dtype)
+        trained = sparse_conv0(w, b, nn._batch_entries(cells, values, np.arange(n)), n, dpre)
+        dense = sparse_conv0(w, b, nn._cell_entries(x), n, dpre)
+        for got in (trained, dense):
+            assert_reassociated(got, w, b, x, dpre, self.RTOL[dtype])
+        # each output sums its taps in one order, so the entry order leaves
+        # the pre-activation's bits alone
+        assert trained[0].tobytes() == dense[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_any_tensor_matches_dense_reference(self, dtype):
+        # forward and backward take any tensor, also one with several
+        # nonzero channels in a cell; those entries share every target
+        rng = np.random.default_rng(3)
+        n, c_out = 5, 6
+        x = rng.normal(0.0, 1.0, (n, 7, 32, 4)) * (rng.random((n, 7, 32, 4)) < 0.4)
+        x = x.astype(dtype)
+        w = rng.normal(0.0, 0.5, (4, c_out, 3, 3)).astype(dtype)
+        b = rng.normal(0.0, 0.1, c_out).astype(dtype)
+        dpre = rng.normal(0.0, 1.0, (n * N_CELLS, c_out)).astype(dtype)
+        got = sparse_conv0(w, b, nn._cell_entries(x), n, dpre)
+        assert_reassociated(got, w, b, x, dpre, self.RTOL[dtype])
+
+    def test_builds_no_patch_matrix_of_the_input(self, monkeypatch):
+        # the first layer's 4-channel patch matrix, forward and backward, is
+        # the cost the cell-reading layer removed; later layers still use
+        # patch matrices at the model's width
+        widths = Counter()
+        im2col = nn._im2col
+
+        def counted(x, ws):
+            widths[x.shape[3]] += 1
+            return im2col(x, ws)
+
+        monkeypatch.setattr(nn, "_im2col", counted)
+        comps = [c for c, _ in toy_samples(40)]
+        for cfg in (ModelConfig(conv_layers=1, channels_per_layer=4, dense_hidden=0),
+                    ModelConfig(conv_layers=2, channels_per_layer=8, dense_hidden=0)):
+            params, _ = train(toy_samples(40), cfg, TrainConfig(epochs=1))
+            predict(params, comps)
+        # 2 steps x (layer 1 forward + backward) + 2 predict chunks x layer 1
+        assert widths == {8: 6}
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial_params(self):
         cfg = tiny_cfg(channels_per_layer=2, seed=4)
@@ -589,11 +690,12 @@ class TestTrain:
         dense = encode_ptable_batch(comps).transpose(0, 2, 3, 1).astype(dtype)
         cells, values = nn._nonzero_cells(comps, dtype)
         perm = np.random.default_rng(seed).permutation(len(comps))
-        ws = {}
         for start in range(0, len(comps), batch):
             idx = perm[start : start + batch]
-            x = nn._scatter_rows(cells, values, idx, ws)
-            assert x.dtype == dense.dtype and x.shape == (len(idx), 7, 32, 4)
+            flat, vals = nn._batch_entries(cells, values, idx)
+            assert vals.dtype == dense.dtype and np.all(vals != 0)
+            x = np.zeros((len(idx), 7, 32, 4), dtype)
+            np.add.at(x.reshape(-1), flat, vals)
             assert x.tobytes() == dense[idx].tobytes()
 
     def test_peak_memory_does_not_grow_with_rows(self):
