@@ -88,9 +88,16 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _env_int(name: str) -> int | None:
+def _env_int(name: str, parse=int) -> int | None:
+    """The SCSCREEN_<name> value read by `parse`, or None if unset; a bad
+    value raises a ValueError that names the variable."""
     raw = _env(name)
-    return None if raw is None else int(raw)
+    if raw is None:
+        return None
+    try:
+        return parse(raw)
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise ValueError(f"{ENV_PREFIX}{name}: {err}") from None
 
 
 def _at_least_one(text: str) -> int:
@@ -397,7 +404,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=_env_int("SEED"), help=help_text)
 
     def jobs_flag(p):
-        p.add_argument("--jobs", type=_at_least_one, default=_env_int("JOBS") or 1,
+        p.add_argument("--jobs", type=_at_least_one, default=_env_int("JOBS", _at_least_one) or 1,
                        help="max concurrent workers")
 
     def config_flag(p):

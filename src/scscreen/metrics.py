@@ -132,23 +132,17 @@ class Histogram(NamedTuple):
     edges: np.ndarray  # len(counts) + 1 bin edges
 
 
-def positive_count_histogram(runs: Sequence[int], bins=None) -> Histogram:
-    """Histogram of per-run predicted-positive counts.
-
-    bins=None uses unit-width integer bins spanning the observed range;
-    otherwise `bins` is passed through (either a bin count or explicit
-    edges). An empty run list yields a single empty bin.
-    """
+def positive_count_histogram(runs: Sequence[int]) -> Histogram:
+    """Histogram of per-run predicted-positive counts in unit-width integer
+    bins spanning the observed range. An empty run list yields a single
+    empty bin, [0, 1]."""
     values = np.asarray(list(runs), dtype=np.float64)
-    if values.size and np.any(values < 0):
-        raise ValueError("counts must be >= 0")
     if values.size == 0:
-        edges = np.asarray(bins, dtype=np.float64) if np.iterable(bins) else np.array([0.0, 1.0])
-        return Histogram(np.zeros(len(edges) - 1, dtype=np.int64), edges)
-    if bins is None:
-        lo, hi = int(values.min()), int(values.max())
-        bins = np.arange(lo, hi + 2) - 0.5
-    counts, edges = np.histogram(values, bins=bins)
+        return Histogram(np.zeros(1, dtype=np.int64), np.array([0.0, 1.0]))
+    if np.any(values < 0):
+        raise ValueError("counts must be >= 0")
+    lo, hi = int(values.min()), int(values.max())
+    counts, edges = np.histogram(values, bins=np.arange(lo, hi + 2) - 0.5)
     return Histogram(counts.astype(np.int64), edges)
 
 

@@ -22,26 +22,28 @@ The first conv layer reads a batch's nonzero cells, not its 896-cell
 grid (a composition of k elements fills k cells): each cell adds its
 value times the kernel at the nine outputs it reaches, a convolution
 computed only where its input is nonzero (Graham & van der Maaten, arXiv
-1706.01307). Later layers build im2col patch matrices. The forward pass
-keeps layer 0's cells, each later layer's input activation and every
-layer's rectifier mask. The backward pass builds one patch matrix per
-later layer from the output gradient and reads both the weight gradient
-and the input gradient (a transposed convolution) from it; layer 0 needs
-only its weight gradient, one GEMM over its cells. Pooling and bias
-gradients sum through a product with a ones vector, which BLAS runs
+1706.01307). `_entries` is the one way from a tensor to those cells. Later
+layers build im2col patch matrices. The forward pass keeps layer 0's cells
+and every conv layer's rectified output, which is also the next layer's
+input; the backward pass reads each rectifier's mask off the kept output
+(output > 0 exactly where the pre-activation is). It builds one patch
+matrix per later layer from the output gradient and reads both the weight
+gradient and the input gradient (a transposed convolution) from it; layer
+0 needs only its weight gradient, one GEMM over its cells. Pooling and
+bias gradients sum through a product with a ones vector, which BLAS runs
 10-15x faster than NumPy's axis sums over a 4- to 32-wide last axis.
 
 Scratch arrays come from a workspace dict that lives for one call (one
 `forward`, `backward` or `predict`, or one `train` run) and is dropped when
 the call returns; no view into it ever escapes the call. `forward` and
-`predict` copy their rows, _INFER_ROWS at a time, into one fixed-size
-input buffer and forward it whole on one workspace. So their peak memory
-does not grow with the number of rows, and every GEMM has one shape, which
-makes a row's prediction independent of how many rows the call has.
-`train` keeps only each row's nonzero cells (index and value) and hands
-each batch's cells to the first layer; no dense batch is ever built, so
-its memory grows by about k × 12 B per row for k elements instead of a
-dense row's 3,584 B.
+`predict` take their rows _INFER_ROWS at a time and forward each chunk's
+cells as a full _INFER_ROWS-row batch on one workspace (a short last chunk
+fills up with empty rows). So their peak memory does not grow with the
+number of rows, and every GEMM has one shape, which makes a row's
+prediction independent of how many rows the call has. `train` keeps only
+each row's nonzero cells (index and value) and hands each batch's cells to
+the first layer; no dense batch is ever built, so its memory grows by
+about k × 12 B per row for k elements instead of a dense row's 3,584 B.
 
 `config_echo` and `config_from_dict` are the one JSON form of the config
 dataclasses, shared by experiment specs, manifests and checkpoints.
@@ -338,12 +340,16 @@ _TAP_TARGETS = _tap_targets()
 _CELL_CHANNEL = np.arange(TENSOR_SIZE) % TENSOR_SHAPE[0]
 
 
-def _cell_entries(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Layer-0 entries of a channel-last (n, 7, 32, 4) batch: its nonzero
-    cells (a bool mask scans ~10x faster than the floats)."""
-    flat = x.reshape(-1)
-    at = np.flatnonzero(flat != 0)
-    return at, flat[at]
+def _entries(batch: np.ndarray, dtype, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Layer-0 entries of a channel-first (m, 4, 7, 32) batch taken as rows
+    first to first + m - 1: its nonzero cells' channel-last flat indices and
+    their values in `dtype`, in channel-first scan order."""
+    flat = batch.reshape(-1)
+    nz = np.flatnonzero(flat != 0)  # a bool mask scans ~8x faster than the floats
+    row, chw = np.divmod(nz, TENSOR_SIZE)
+    channel, hw = np.divmod(chw, N_CELLS)
+    cell = hw * TENSOR_SHAPE[0] + channel
+    return (row + first) * TENSOR_SIZE + cell, flat[nz].astype(dtype)
 
 
 def _conv0(w: np.ndarray, b: np.ndarray, entries, n: int, ws: dict):
@@ -406,46 +412,32 @@ def _check_batch(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _nhwc(batch: np.ndarray, dtype) -> np.ndarray:
-    """(n, 4, 7, 32) -> contiguous channel-last (n, 7, 32, 4) of `dtype`."""
-    return np.ascontiguousarray(batch.transpose(0, 2, 3, 1), dtype=dtype)
-
-
 def _forward_cached(params: ModelParams, entries, n: int, ws: dict):
     """Run the network on n rows given as layer-0 entries, keeping what the
-    backward pass needs: layer 0's taps, each later conv layer's input
-    activation (n, 7, 32, c_in), and every conv layer's rectifier mask."""
-    conv_cache = []
+    backward pass needs: layer 0's taps and every conv layer's rectified
+    output (n * 224, c_out), which is also the next layer's input and
+    gives the rectifier's mask (output > 0). Rows without entries are
+    empty rows: `_forward_chunks` fills a short last chunk with them."""
+    outs = []
     for i, (w, b) in enumerate(zip(params.conv_w, params.conv_b)):
         c_in, c_out = w.shape[0], w.shape[1]
-        have = TENSOR_SHAPE[0] if i == 0 else act.shape[3]
+        have = TENSOR_SHAPE[0] if i == 0 else outs[-1].shape[1]
         if have != c_in:
             raise ShapeMismatchError(f"layer expects {c_in} input channels, got {have}")
         if i == 0:
-            pre, layer_in = _conv0(w, b, entries, n, ws)
+            pre, taps = _conv0(w, b, entries, n, ws)
         else:
-            cols = _im2col(act, ws)  # (n*HW, 9*c_in)
+            cols = _im2col(outs[-1].reshape(n, H_GRID, W_GRID, c_in), ws)  # (n*HW, 9*c_in)
             w_flat = w.transpose(2, 3, 0, 1).reshape(KERNEL * KERNEL * c_in, c_out)
             pre = _ws_buf(ws, ("act", i), (cols.shape[0], c_out), cols.dtype)
             np.matmul(cols, w_flat, out=pre)
             pre += b
-            layer_in = act
-        mask = _ws_buf(ws, ("mask", i), pre.shape, np.bool_)
-        np.greater(pre, 0.0, out=mask)
-        np.maximum(pre, 0.0, out=pre)
-        conv_cache.append((layer_in, mask))
-        act = pre.reshape(n, H_GRID, W_GRID, c_out)
+        outs.append(np.maximum(pre, 0.0, out=pre))
     # global average pool, (n, C): each row's cells summed in BLAS
-    g = _ones(ws, N_CELLS, act.dtype) @ act.reshape(n, N_CELLS, -1) / N_CELLS
-    if params.dense_w is not None:
-        pre_d = g @ params.dense_w + params.dense_b
-        mask_d = pre_d > 0.0
-        h = np.where(mask_d, pre_d, np.zeros((), dtype=pre_d.dtype))
-    else:
-        mask_d = None
-        h = g
+    g = _ones(ws, N_CELLS, pre.dtype) @ pre.reshape(n, N_CELLS, -1) / N_CELLS
+    h = g if params.dense_w is None else np.maximum(g @ params.dense_w + params.dense_b, 0.0)
     raw = (h @ params.head_w).ravel() + params.head_b[0]
-    return raw, (n, g, mask_d, h, conv_cache)
+    return raw, (g, h, taps, outs)
 
 
 def _forward_chunks(
@@ -454,21 +446,19 @@ def _forward_chunks(
     """Raw head outputs of n rows; `chunk(lo, hi)` returns rows lo:hi as a
     channel-first (hi - lo, 4, 7, 32) batch.
 
-    Each chunk is copied into one (_INFER_ROWS, 7, 32, 4) buffer of the
-    model dtype, the whole buffer's nonzero cells are forwarded through one
-    workspace, and the first hi - lo outputs are kept; a short last chunk
-    forwards rows left over from the one before and drops them. So every GEMM has one
-    shape, and a row's output does not depend on n. Each chunk's cache is
-    dropped at once.
+    Each chunk's nonzero cells are forwarded as a full _INFER_ROWS-row
+    batch through one workspace, and the first hi - lo outputs are kept; a
+    short last chunk forwards empty rows after its own and drops them. So
+    every GEMM has one shape, and a row's output does not depend on n. Each
+    chunk's cache is dropped at once.
     """
     dt = params.config.np_dtype
     raw = np.empty(n, dtype=dt)
-    x = np.zeros((_INFER_ROWS, H_GRID, W_GRID, TENSOR_SHAPE[0]), dt)
     ws: dict = {}
     for lo in range(0, n, _INFER_ROWS):
         hi = min(lo + _INFER_ROWS, n)
-        x[: hi - lo] = chunk(lo, hi).transpose(0, 2, 3, 1)
-        raw[lo:hi] = _forward_cached(params, _cell_entries(x), _INFER_ROWS, ws)[0][: hi - lo]
+        entries = _entries(chunk(lo, hi), dt)
+        raw[lo:hi] = _forward_cached(params, entries, _INFER_ROWS, ws)[0][: hi - lo]
     return raw
 
 
@@ -481,7 +471,8 @@ def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> list:
     """Gradients in arrays() order given d(loss)/d(raw output)."""
-    n, g, mask_d, h, conv_cache = cache
+    g, h, taps, outs = cache
+    n = len(g)
     dt = params.head_w.dtype
     dout = dout.astype(dt, copy=False)
     d_head_w = (h.T @ dout[:, None]).astype(dt, copy=False)
@@ -489,7 +480,7 @@ def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> 
     dh = np.outer(dout, params.head_w[:, 0])
     if params.dense_w is not None:
         dpre_d = dh
-        dpre_d *= mask_d
+        dpre_d *= h > 0.0
         d_dense_w = g.T @ dpre_d
         d_dense_b = dpre_d.sum(axis=0)
         dg = dpre_d @ params.dense_w.T
@@ -506,14 +497,15 @@ def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> 
     conv_grads = []
     for layer in range(len(params.conv_w) - 1, -1, -1):
         w = params.conv_w[layer]
-        layer_in, mask = conv_cache[layer]
         c_in, c_out = w.shape[0], w.shape[1]
         dpre_flat = dpre[:-1]
-        dpre_flat *= mask
+        # every layer's rectifier mask shares one buffer
+        mask = _ws_buf(ws, ("mask",), dpre_flat.shape, np.bool_)
+        dpre_flat *= np.greater(outs[layer], 0.0, out=mask)
         d_b = ones @ dpre_flat
         if layer == 0:
             dpre[-1] = 0
-            conv_grads.append((_conv0_weight_grad(layer_in, dpre, c_in, ws), d_b))
+            conv_grads.append((_conv0_weight_grad(taps, dpre, c_in, ws), d_b))
             break
         # Both gradients come from the output gradient's patch matrix, the
         # transposed convolution of Dumoulin & Visin (arXiv 1603.07285):
@@ -521,7 +513,7 @@ def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> 
         # degrees with in/out swapped, m[(2-ky, 2-kx, co), ci] =
         # d_w[ci, co, ky, kx], and dcols @ w_rot is the input gradient.
         dcols = _im2col(dpre_flat.reshape(n, H_GRID, W_GRID, c_out), ws)  # (n*HW, 9*c_out)
-        m = dcols.T @ layer_in.reshape(n * N_CELLS, c_in)  # (9*c_out, c_in)
+        m = dcols.T @ outs[layer - 1]  # (9*c_out, c_in)
         d_w = np.ascontiguousarray(
             m.reshape(KERNEL, KERNEL, c_out, c_in)[::-1, ::-1].transpose(3, 2, 0, 1)
         )
@@ -545,14 +537,9 @@ def backward(
     arrays() order. Targets live in the same space as forward's raw
     outputs (transformed kelvin for regression, {0,1} labels for logits)."""
     ws: dict = {}
-    x = _nhwc(_check_batch(batch), params.config.np_dtype)
-    raw, cache = _forward_cached(params, _cell_entries(x), len(x), ws)
-    if loss is Loss.SMOOTH_L1:
-        _, dout = smooth_l1_loss(raw, targets)
-    elif loss is Loss.BCE_LOGIT:
-        _, dout = bce_logit_loss(raw, targets)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
+    x = _check_batch(batch)
+    raw, cache = _forward_cached(params, _entries(x, params.config.np_dtype), len(x), ws)
+    _, dout = _LOSSES[loss](raw, targets)
     return _backward_cached(params, cache, dout, ws)
 
 
@@ -599,6 +586,9 @@ def bce_logit_loss(logits, labels) -> tuple[float, np.ndarray]:
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     grad = (_sigmoid(z) - y) / z.size
     return float(per.mean()), grad
+
+
+_LOSSES = {Loss.SMOOTH_L1: smooth_l1_loss, Loss.BCE_LOGIT: bce_logit_loss}
 
 
 def tc_transform(tc_kelvin, mode: TcTransform):
@@ -675,22 +665,18 @@ def _nonzero_cells(
     _INFER_ROWS at a time; the (n, k) layout is built once, after the last
     chunk.
     """
-    pos, vals = [], []
-    for lo in range(0, len(comps), _INFER_ROWS):
-        flat = encode_ptable_batch(comps[lo : lo + _INFER_ROWS]).reshape(-1)
-        nz = np.flatnonzero(flat != 0)  # a bool mask scans ~8x faster than floats
-        pos.append(nz + lo * TENSOR_SIZE)
-        vals.append(flat[nz].astype(dtype))
-    row, chw = np.divmod(np.concatenate(pos), TENSOR_SIZE)
-    channel, hw = np.divmod(chw, N_CELLS)
-    cell = hw * TENSOR_SHAPE[0] + channel  # channel-first -> channel-last
+    chunks = [
+        _entries(encode_ptable_batch(comps[lo : lo + _INFER_ROWS]), dtype, lo)
+        for lo in range(0, len(comps), _INFER_ROWS)
+    ]
+    row, cell = np.divmod(np.concatenate([flat for flat, _ in chunks]), TENSOR_SIZE)
     counts = np.bincount(row, minlength=len(comps))
     k = max(int(counts.max()), 1)
     rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
     cells = np.zeros((len(comps), k), np.intp)
     values = np.zeros((len(comps), k), dtype)
     cells[row, rank] = cell
-    values[row, rank] = np.concatenate(vals)
+    values[row, rank] = np.concatenate([vals for _, vals in chunks])
     return cells, values
 
 
@@ -751,10 +737,7 @@ def train(
             idx = perm[start : start + train_cfg.batch_size]
             entries = _batch_entries(cells, values, idx)
             raw, cache = _forward_cached(params, entries, len(idx), ws)
-            if train_cfg.loss is Loss.SMOOTH_L1:
-                loss, dout = smooth_l1_loss(raw.astype(np.float64), targets[idx])
-            else:
-                loss, dout = bce_logit_loss(raw.astype(np.float64), targets[idx])
+            loss, dout = _LOSSES[train_cfg.loss](raw, targets[idx])
             if not np.isfinite(loss):
                 raise DivergenceDetectedError(epoch, step, loss)
             grads = _backward_cached(params, cache, dout, ws)

@@ -96,6 +96,14 @@ class TestUsage:
         assert main(["parse", "--formula", "Nb"]) == 1
         assert "environment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])
+    def test_bad_env_jobs(self, monkeypatch, capsys, value):
+        # the --jobs rule holds for the environment default too
+        monkeypatch.setenv("SCSCREEN_JOBS", value)
+        assert main(["parse", "--formula", "Nb"]) == 1
+        err = capsys.readouterr().err
+        assert "environment" in err and "SCSCREEN_JOBS" in err
+
 
 class TestEncode:
     def test_single_element_tensor(self, tmp_path, capsys):

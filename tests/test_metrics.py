@@ -198,15 +198,12 @@ class TestHistogram:
     def test_empty(self):
         h = positive_count_histogram([])
         assert h.counts.sum() == 0
+        assert list(h.edges) == [0.0, 1.0]  # one empty bin
 
     def test_conservation(self):
         runs = [3, 1, 4, 1, 5, 9, 2, 6]
         h = positive_count_histogram(runs)
         assert h.counts.sum() == len(runs)
-
-    def test_explicit_bins(self):
-        h = positive_count_histogram([1, 2, 3], bins=[0, 2, 4])
-        assert list(h.counts) == [1, 2]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -404,16 +404,39 @@ class TestBackwardStructure:
                 a[...] = rng.normal(0.0, 0.05, a.shape)
         ws = {}
         for rows in (4, 3, 5):
-            batch = encode_ptable_batch(random_comps(rng, rows))
+            comps = random_comps(rng, rows)
+            batch = encode_ptable_batch(comps)
             targets = rng.normal(0.0, 1.5, rows)
-            x = nn._nhwc(batch, params.config.np_dtype)
-            raw, cache = nn._forward_cached(params, nn._cell_entries(x), rows, ws)
+            cells, values = nn._nonzero_cells(comps, params.config.np_dtype)
+            entries = nn._batch_entries(cells, values, np.arange(rows))
+            raw, cache = nn._forward_cached(params, entries, rows, ws)
             _, dout = smooth_l1_loss(raw, targets)
             pooled = nn._backward_cached(params, cache, dout, ws)
             public = backward(params, batch, targets, Loss.SMOOTH_L1)
             assert len(pooled) == len(public)
             for a, b in zip(pooled, public):
                 assert np.array_equal(a, b)
+
+    def test_rectifier_masks_come_from_kept_outputs(self, monkeypatch):
+        # the forward keeps rectified outputs, not masks: inference asks for
+        # no bool buffer, and training reads every layer's mask off its
+        # output into one shared buffer
+        requested = []
+        ws_buf = nn._ws_buf
+
+        def recorded(ws, key, shape, dtype, fill=None):
+            if np.dtype(dtype) == np.bool_:
+                requested.append((key, shape[1:]))
+            return ws_buf(ws, key, shape, dtype, fill)
+
+        monkeypatch.setattr(nn, "_ws_buf", recorded)
+        samples = toy_samples(40)
+        cfg = ModelConfig(conv_layers=3, channels_per_layer=4, dense_hidden=3)
+        params, _ = train(samples, cfg, TrainConfig(epochs=1))
+        assert len(requested) == 2 * 3 and len(set(requested)) == 1  # 2 steps x 3 layers
+        requested.clear()
+        predict(params, [c for c, _ in samples])
+        assert requested == []
 
 
 class TestAdam:
@@ -558,7 +581,9 @@ class TestFirstLayer:
 
         cells, values = nn._nonzero_cells(comps, dtype)
         trained = sparse_conv0(w, b, nn._batch_entries(cells, values, np.arange(n)), n, dpre)
-        dense = sparse_conv0(w, b, nn._cell_entries(x), n, dpre)
+        flat, vals = nn._entries(encode_ptable_batch(comps), dtype)
+        shuffled = rng.permutation(len(flat))
+        dense = sparse_conv0(w, b, (flat[shuffled], vals[shuffled]), n, dpre)
         for got in (trained, dense):
             assert_reassociated(got, w, b, x, dpre, self.RTOL[dtype])
         # each output sums its taps in one order, so the entry order leaves
@@ -576,7 +601,7 @@ class TestFirstLayer:
         w = rng.normal(0.0, 0.5, (4, c_out, 3, 3)).astype(dtype)
         b = rng.normal(0.0, 0.1, c_out).astype(dtype)
         dpre = rng.normal(0.0, 1.0, (n * N_CELLS, c_out)).astype(dtype)
-        got = sparse_conv0(w, b, nn._cell_entries(x), n, dpre)
+        got = sparse_conv0(w, b, nn._entries(x.transpose(0, 3, 1, 2), dtype), n, dpre)
         assert_reassociated(got, w, b, x, dpre, self.RTOL[dtype])
 
     def test_builds_no_patch_matrix_of_the_input(self, monkeypatch):
