@@ -3,7 +3,7 @@
 Subpackages by responsibility:
 
 - formula: chemical-formula parsing and normalized compositions
-- ptable: periodic-table geometry and tensor/one-hot encoders
+- ptable: periodic-table geometry and the grid encoder
 - dataset: ingestion, cleaning rules, synthetic negatives, rotating folds
 - nn: a small from-scratch convolutional regressor/classifier
 - metrics: thresholded confusion reports and related statistics
@@ -14,7 +14,7 @@ Subpackages by responsibility:
 """
 
 from .formula import Composition, normalize, parse_composition, parse_formula
-from .ptable import encode_onehot, encode_ptable, encode_ptable_batch
+from .ptable import encode_ptable, encode_ptable_batch
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "normalize",
     "parse_composition",
     "parse_formula",
-    "encode_onehot",
     "encode_ptable",
     "encode_ptable_batch",
     "__version__",

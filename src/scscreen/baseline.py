@@ -98,27 +98,31 @@ def load_element_features(path) -> dict[str, np.ndarray]:
 
     Rows with any blank cell are treated as not yet populated and skipped;
     compositions touching them fail later with MissingElementFeaturesError.
+    A line the csv module cannot read is a ValueError naming it.
     """
     table: dict[str, np.ndarray] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != ("symbol",) + FEATURE_NAMES:
-            raise ValueError(f"{path}: header does not match the 32 feature names")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(row):
-                continue
-            if len(row) != N_BASIC + 1:
-                raise ValueError(f"{path}:{lineno}: expected {N_BASIC + 1} cells, got {len(row)}")
-            symbol = row[0]
-            if symbol not in ATOMIC_NUMBER:
-                raise ValueError(f"{path}:{lineno}: unknown element {symbol!r}")
-            if any(cell.strip() == "" for cell in row[1:]):
-                continue
-            try:
-                table[symbol] = np.array([float(c) for c in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        try:
+            rows = list(reader)
+        except csv.Error as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    if not rows or tuple(rows[0]) != ("symbol",) + FEATURE_NAMES:
+        raise ValueError(f"{path}: header does not match the 32 feature names")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or not any(row):
+            continue
+        if len(row) != N_BASIC + 1:
+            raise ValueError(f"{path}:{lineno}: expected {N_BASIC + 1} cells, got {len(row)}")
+        symbol = row[0]
+        if symbol not in ATOMIC_NUMBER:
+            raise ValueError(f"{path}:{lineno}: unknown element {symbol!r}")
+        if any(cell.strip() == "" for cell in row[1:]):
+            continue
+        try:
+            table[symbol] = np.array([float(c) for c in row[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return table
 
 
@@ -329,12 +333,9 @@ def train_forest(
 
 
 def predict_forest(model: ForestModel, features):
-    """(classes, positive-vote fractions) for a (n, d) batch, or a scalar
-    pair for a single d-vector. A tied vote goes to the negative class."""
+    """(classes, positive-vote fractions) for a (n, d) batch. A tied vote
+    goes to the negative class."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ShapeMismatchError(
             f"expected (n, {model.n_features}) features, got {np.asarray(features).shape}"
@@ -344,6 +345,4 @@ def predict_forest(model: ForestModel, features):
         votes += _tree_votes(tree, x)
     frac = votes / model.n_trees
     classes = (frac > 0.5).astype(np.int8)
-    if single:
-        return int(classes[0]), float(frac[0])
     return classes, frac

@@ -359,6 +359,8 @@ def _cmd_baseline(args) -> int:
 
     table = load_element_features(args.features)
     rows = sc + garbage_in(cod, sc)
+    if not rows:
+        raise ValueError(f"--sc {args.sc} and --cod {args.cod} leave no usable rows after cleaning")
     labels = np.array([1 if r.tc_kelvin > args.threshold else 0 for r in rows], dtype=np.int64)
     features = aggregate_features_batch([r.composition for r in rows], table)
 

@@ -106,29 +106,36 @@ def ingest_csv(path, source: Source) -> IngestReport:
     """Read a formula/tc_K/year CSV into records.
 
     Empty tc_K or year cells become None. A missing `formula` column is a
-    schema error; unparseable numeric cells are too (bad data should fail
+    schema error; so are unparseable numeric cells, a negative or non-finite
+    tc_K, and a line the csv module cannot read (bad data should fail
     loudly, bad formulas get flagged per row).
     """
     records: list[MaterialRecord] = []
     n_rows = n_flagged = 0
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or "formula" not in reader.fieldnames:
-            raise SchemaMismatchError(f"{path}: need a 'formula' column, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            n_rows += 1
-            raw = (row.get("formula") or "").strip()
-            tc_text = (row.get("tc_K") or "").strip()
-            year_text = (row.get("year") or "").strip()
-            try:
-                tc = float(tc_text) if tc_text else None
-                year = int(year_text) if year_text else None
-            except ValueError as err:
-                raise SchemaMismatchError(f"{path}:{lineno}: {err}") from None
-            rec = make_record(raw, tc, year, source)
-            if rec.flagged_reason is not None:
-                n_flagged += 1
-            records.append(rec)
+        try:
+            if reader.fieldnames is None or "formula" not in reader.fieldnames:
+                raise SchemaMismatchError(
+                    f"{path}: need a 'formula' column, got {reader.fieldnames}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                n_rows += 1
+                raw = (row.get("formula") or "").strip()
+                tc_text = (row.get("tc_K") or "").strip()
+                year_text = (row.get("year") or "").strip()
+                try:
+                    tc = float(tc_text) if tc_text else None
+                    year = int(year_text) if year_text else None
+                    rec = make_record(raw, tc, year, source)
+                except ValueError as err:
+                    raise SchemaMismatchError(f"{path}:{lineno}: {err}") from None
+                if rec.flagged_reason is not None:
+                    n_flagged += 1
+                records.append(rec)
+        except csv.Error as err:
+            # DictReader's own line_num stops at the last row it returned
+            raise SchemaMismatchError(f"{path}:{reader.reader.line_num}: {err}") from None
     return IngestReport(records, n_rows, n_rows - n_flagged, n_flagged)
 
 

@@ -420,11 +420,6 @@ class Composition(Mapping):
     def __hash__(self) -> int:
         return hash(self.key())
 
-    @property
-    def elements(self) -> tuple[str, ...]:
-        """Symbols in atomic-number order."""
-        return tuple(self._fractions)
-
     def key(self) -> tuple:
         """Identity key: symbol, round(fraction * 10**6), symbol, ... in
         atomic-number order.

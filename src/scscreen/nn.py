@@ -592,26 +592,25 @@ _LOSSES = {Loss.SMOOTH_L1: smooth_l1_loss, Loss.BCE_LOGIT: bce_logit_loss}
 
 
 def tc_transform(tc_kelvin, mode: TcTransform):
-    """Map kelvin to the network's target space."""
+    """Map kelvin to the network's target space: a new float64 array, or a
+    NumPy scalar for a scalar input."""
     tc = np.asarray(tc_kelvin, dtype=np.float64)
     if np.any(tc < 0):
         raise NegativeTcError(f"negative Tc in {tc_kelvin!r}")
     if mode is TcTransform.LINEAR:
-        return tc.copy() if tc.ndim else float(tc)
+        return np.positive(tc)
     if mode is TcTransform.LOG_SHIFT_0P1:
-        out = np.log(tc + 0.1)
-        return out if tc.ndim else float(out)
+        return np.log(tc + 0.1)
     raise ValueError(f"unknown transform {mode!r}")
 
 
 def inverse_tc_transform(value, mode: TcTransform):
-    """Map the network's target space back to kelvin."""
+    """Map the network's target space back to kelvin, in the same form."""
     v = np.asarray(value, dtype=np.float64)
     if mode is TcTransform.LINEAR:
-        return v.copy() if v.ndim else float(v)
+        return np.positive(v)
     if mode is TcTransform.LOG_SHIFT_0P1:
-        out = np.maximum(np.exp(v) - 0.1, 0.0)
-        return out if v.ndim else float(out)
+        return np.maximum(np.exp(v) - 0.1, 0.0)
     raise ValueError(f"unknown transform {mode!r}")
 
 
@@ -752,20 +751,16 @@ def train(
 def predict(
     params: ModelParams,
     compositions: Sequence[Mapping[str, float]],
-    mode: Head | None = None,
 ) -> np.ndarray:
     """Predicted Tc in kelvin (REGRESSION, clamped at 0) or positive-class
     probability (BINARY_LOGIT) for each composition."""
-    head = params.config.head
-    if mode is not None and mode is not head:
-        raise ShapeMismatchError(f"params were trained for {head.name}, not {mode.name}")
     if len(compositions) == 0:
         return np.zeros(0)
     comps = list(compositions)
     raw = _forward_chunks(
         params, len(comps), lambda lo, hi: encode_ptable_batch(comps[lo:hi])
     ).astype(np.float64)
-    if head is Head.REGRESSION:
+    if params.config.head is Head.REGRESSION:
         kelvin = inverse_tc_transform(raw, params.config.tc_transform)
         return np.maximum(kelvin, 0.0)
     return _sigmoid(raw)

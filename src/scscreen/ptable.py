@@ -9,9 +9,8 @@ here: He sits at column 32 for visual fidelity but is channelled as s-block
 into the d-block column 17 (the group-3 slot) and keeps all 15
 lanthanides/actinides contiguous.
 
-A composition is encoded either as a 4x7x32 tensor (one channel per valence
-block, channel order S, P, D, F) or as a 118-long vector indexed by atomic
-number minus one.
+A composition is encoded as a 4x7x32 tensor (one channel per valence block,
+channel order S, P, D, F).
 """
 
 from __future__ import annotations
@@ -128,10 +127,3 @@ def decode_ptable(tensor: np.ndarray) -> dict[str, float]:
             out[e.symbol] = float(v)
     return out
 
-
-def encode_onehot(composition: Mapping[str, float]) -> np.ndarray:
-    """Encode a composition as a 118-vector indexed by atomic number - 1."""
-    v = np.zeros(N_ELEMENTS)
-    for symbol, fraction in composition.items():
-        v[ATOMIC_NUMBER[symbol] - 1] = fraction
-    return v

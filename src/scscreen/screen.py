@@ -32,7 +32,7 @@ from .dataset import (
     FamilyLabel,
     MaterialRecord,
     classify_family,
-    dataset_fingerprint,
+    dataset_fingerprint,  # noqa: F401 (unused; perfbench/layers.py patches it here)
     garbage_in,
     remove_overlap,
     rotating_folds,
@@ -340,8 +340,6 @@ class CandidateList:
     fold_seed: int
     model_seeds: list[int]
     n_excluded: int  # cuprate/FeSC rows dropped from the ranked list
-    training_fingerprint: str
-    corpus_fingerprint: str
 
 
 def _assert_corpus_disjoint(sc_train: list[MaterialRecord], corpus: list[MaterialRecord]):
@@ -414,8 +412,6 @@ def run_candidate_screen(
         fold_seed=spec.model.seed,
         model_seeds=[spec.model.seed + i for i in range(len(folds))],
         n_excluded=len(rows) - len(kept),
-        training_fingerprint=dataset_fingerprint(sc_train),
-        corpus_fingerprint=dataset_fingerprint(corpus),
     )
 
 
@@ -507,8 +503,6 @@ class DiscoveryResult:
     histogram: Histogram
     runs: list[RunReport]
     n_test: int
-    training_fingerprint: str
-    test_fingerprint: str
 
 
 def run_family_discovery(
@@ -596,8 +590,6 @@ def run_family_discovery(
         histogram=hist,
         runs=runs,
         n_test=len(test_rows),
-        training_fingerprint=dataset_fingerprint(train_rows),
-        test_fingerprint=dataset_fingerprint(test_rows),
     )
 
 

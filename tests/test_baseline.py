@@ -225,12 +225,6 @@ class TestForest:
         cls, frac = predict_forest(tied, np.array([[5.0]]))
         assert frac[0] == 0.5 and cls[0] == 0
 
-    def test_single_vector_returns_scalars(self):
-        x, y = separable_set()
-        model = train_forest(x, y, n_trees=5, seed=3)
-        cls, frac = predict_forest(model, x[0])
-        assert isinstance(cls, int) and isinstance(frac, float)
-
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassInputError):
             train_forest(np.zeros((4, 2)), np.ones(4), n_trees=3, seed=0)

@@ -183,6 +183,14 @@ class TestDatasetBuild:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "started"
 
+    def test_unreadable_csv_line_is_data_error_naming_it(self, tmp_path, capsys):
+        # one cell over the csv module's 131,072-character field limit
+        big = tmp_path / "big.csv"
+        big.write_text("formula,tc_K,year\nNbN,16,\n" + "Nb" * 70_000 + ",1,\n")
+        assert main(["dataset-build", "--sc", str(big), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{big}:3: field larger than field limit" in err
+
 
 class TestTrain:
     def test_train_writes_model_and_trace(self, world, tmp_path, capsys):
@@ -412,6 +420,29 @@ class TestBaseline:
         assert f"--test-fraction {fraction} leaves {n_train} training and " in err
         assert f"and {68 - n_train} test rows" in err
         assert not (world["out"] / "baseline_report.csv").exists()
+
+    def test_unreadable_feature_line_is_data_error_naming_it(self, world, tmp_path, capsys):
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb"])
+        with open(feats, "a") as f:
+            f.write("Nb" + "0" * 140_000 + "\n")
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", "5",
+                     "--out", str(world["out"])]) == 2
+        assert f"{feats}:3: field larger than field limit" in capsys.readouterr().err
+
+    def test_no_usable_rows_is_data_error_naming_the_inputs(self, tmp_path, capsys):
+        # every formula is flagged, so cleaning leaves nothing to featurize
+        sc, cod = tmp_path / "sc.csv", tmp_path / "cod.csv"
+        sc.write_text("formula,tc_K,year\nQq2,10,\nNbx,9,\n")
+        cod.write_text("formula,tc_K,year\nXy,,\n")
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb"])
+        assert main(["baseline", "--sc", str(sc), "--cod", str(cod),
+                     "--features", str(feats), "--trees", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "--sc" in err and "--cod" in err and "no usable rows" in err
 
     def test_missing_features_flag_is_usage_error(self, world, capsys):
         assert main(["baseline", "--sc", str(world["sc"]),

@@ -1,5 +1,7 @@
 """Cleaning rules, negatives, families, and folds."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,13 @@ class TestIngest:
         p = tmp_path / "bad.csv"
         p.write_text("formula,tc_K,year\nNbN,sixteen,\n")
         with pytest.raises(SchemaMismatchError):
+            ingest_csv(p, Source.SUPERCON)
+
+    @pytest.mark.parametrize("tc", ["-5", "nan", "inf"])
+    def test_bad_tc_is_schema_error_naming_the_line(self, tmp_path, tc):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"formula,tc_K,year\nNbN,16,\nNb3Sn,{tc},\n")
+        with pytest.raises(SchemaMismatchError, match=f"^{re.escape(str(p))}:3: tc_kelvin"):
             ingest_csv(p, Source.SUPERCON)
 
     def test_negative_tc_rejected_at_record_level(self):
@@ -351,8 +360,6 @@ def test_result_tables_exact_bytes(tmp_path):
         fold_seed=7,
         model_seeds=[7, 8],
         n_excluded=1,
-        training_fingerprint="",
-        corpus_fingerprint="",
     )
     discovery = DiscoveryResult(
         family=FamilyLabel.FESC,
@@ -363,8 +370,6 @@ def test_result_tables_exact_bytes(tmp_path):
             RunReport(2, 9, 5, 1, undefined, False),
         ],
         n_test=4,
-        training_fingerprint="",
-        test_fingerprint="",
     )
     records = [
         rec("YBa2Cu3O7", 92.5, 1987),

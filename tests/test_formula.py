@@ -175,7 +175,7 @@ class TestNormalize:
 
     def test_canonical_order_is_atomic_number(self):
         c = parse_composition("OFeH")  # O(8), Fe(26), H(1)
-        assert c.elements == ("H", "O", "Fe")
+        assert tuple(c) == ("H", "O", "Fe")
         assert c.formula().startswith("H")
 
     def test_equality_and_hash(self):

@@ -816,13 +816,6 @@ class TestPredict:
             for n in (1, 13, 31, 33, 47, 63):
                 assert np.array_equal(predict(params, comps[:n]), whole[:n]), (cfg, n)
 
-    def test_mode_mismatch(self):
-        params = init_params(tiny_cfg())
-        with pytest.raises(ShapeMismatchError):
-            predict(params, [{"Nb": 1.0}], mode=Head.BINARY_LOGIT)
-        out = predict(params, [{"Nb": 1.0}], mode=Head.REGRESSION)
-        assert out.shape == (1,)
-
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):

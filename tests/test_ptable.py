@@ -25,7 +25,6 @@ from scscreen.ptable import (
     Block,
     decode_ptable,
     element_coordinates,
-    encode_onehot,
     encode_ptable,
     encode_ptable_batch,
 )
@@ -123,13 +122,6 @@ def test_encode_known_values():
     assert np.count_nonzero(nb) == 1
 
 
-def test_onehot_known_values():
-    v = encode_onehot({"H": 0.4, "He": 0.6})
-    assert v.shape == (N_ELEMENTS,)
-    assert v[0] == 0.4 and v[1] == 0.6
-    assert np.count_nonzero(v) == 2
-
-
 comps = st.dictionaries(
     st.sampled_from(sorted(ptable.SYMBOLS)),
     st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),
@@ -149,9 +141,6 @@ def test_encode_properties(c):
         expected = sum(v for s, v in c.items() if ptable.INFO[s].block.value == ch)
         assert t[ch].sum() == pytest.approx(expected, abs=1e-12)
     assert decode_ptable(t) == pytest.approx(dict(c))
-    v = encode_onehot(c)
-    assert abs(v.sum() - 1.0) <= 1e-9
-    assert np.count_nonzero(v) == len(c)
 
 
 @given(comps)
