@@ -31,7 +31,7 @@ from .ptable import ATOMIC_NUMBER, SYMBOLS
 
 
 class FormulaError(ValueError):
-    """Base class for every parse, substitution, or normalization failure."""
+    """Base class for every parse or normalization failure."""
 
 
 class MalformedSyntaxError(FormulaError):
@@ -53,13 +53,6 @@ class UnresolvedVariableError(FormulaError):
     def __init__(self, raw: str, variables):
         names = sorted(variables)
         super().__init__(f"unresolved stoichiometry variable(s) {names} in {raw!r}")
-        self.variables = tuple(names)
-
-
-class MissingBindingError(FormulaError):
-    def __init__(self, raw: str, variables):
-        names = sorted(variables)
-        super().__init__(f"no binding supplied for variable(s) {names} in {raw!r}")
         self.variables = tuple(names)
 
 
@@ -142,10 +135,11 @@ def _tokenize(raw: str) -> Iterator[tuple[str, object, int]]:
 # ---------------------------------------------------------------------------
 # parser
 #
-# Subscripts are kept symbolic as (constant, {variable: coefficient}) pairs so
-# that the same tree serves parse_formula, substitute_variables, and variable
-# detection. The tree itself is a list of ("element", symbol, expr) and
-# ("group", children, expr) nodes, expr being None for an implicit 1.
+# The tree is a list of ("element", symbol, count) and ("group", children,
+# count) nodes, count being a subscript's float value or None for an
+# implicit 1. Each subscript is evaluated as it is read; a variable in one is
+# only collected into `variables`, and parse_formula rejects the formula once
+# the whole string has parsed, so a syntax error is always reported first.
 
 
 class _Parser:
@@ -153,6 +147,7 @@ class _Parser:
         self.raw = raw
         self.tokens = list(_tokenize(raw))
         self.pos = 0
+        self.variables: set[str] = set()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.raw))
@@ -197,82 +192,70 @@ class _Parser:
             raise MalformedSyntaxError(self.raw, at, "empty formula or group")
         return items
 
-    def parse_subscript(self):
-        """Parse (constant, {var: coeff}) or return None when absent."""
+    def parse_subscript(self) -> float | None:
+        """Parse the subscript's constant, or return None when absent.
+
+        Variables add nothing to the constant; they go to self.variables.
+        """
         kind, value, _ = self.peek()
         if kind == _NUMBER:
             self.take()
-            const, coeffs = float(value), {}
+            const = value
         elif kind == _VARIABLE:
             self.take()
-            const, coeffs = 0.0, {value: 1.0}
+            const = 0.0
+            self.variables.add(value)
         elif kind == _SIGN:
-            const, coeffs = 1.0, {}  # "O+x" means a base count of 1
+            const = 1.0  # "O+x" means a base count of 1
         else:
             return None
         while True:
             kind, sign, _ = self.peek()
             if kind != _SIGN:
-                return const, coeffs
+                return const
             self.take()
             kind, value, at = self.take()
             if kind == _NUMBER:
-                const += sign * float(value)
+                const += sign * value
             elif kind == _VARIABLE or (kind == _ELEMENT and len(value) == 1):
                 # a bare letter after a sign is stoichiometric, never an element
-                coeffs[value] = coeffs.get(value, 0.0) + sign
+                self.variables.add(value)
             else:
                 raise MalformedSyntaxError(
                     self.raw, at, "expected a number or variable after sign"
                 )
 
 
-def _walk_variables(items) -> set:
-    seen = set()
-    for node in items:
-        if node[0] == "element":
-            expr = node[2]
-        else:
-            seen |= _walk_variables(node[1])
-            expr = node[2]
-        if expr is not None:
-            seen.update(expr[1])
-    return seen
-
-
-def _evaluate(items, raw, bindings, counts, multiplier=1.0) -> None:
-    for node in items:
-        expr = node[2]
-        if expr is None:
+def _evaluate(items, raw, counts, multiplier=1.0) -> None:
+    for kind, body, value in items:
+        if value is None:
             value = 1.0
-        else:
-            const, coeffs = expr
-            value = const + sum(c * bindings[v] for v, c in coeffs.items())
-        if node[0] == "element":
-            symbol = node[1]
+        if kind == "element":
             total = value * multiplier
             if total <= 0.0:
-                raise NonPositiveCountError(raw, symbol, total)
-            counts[symbol] = counts.get(symbol, 0.0) + total
+                raise NonPositiveCountError(raw, body, total)
+            counts[body] = counts.get(body, 0.0) + total
         else:
             if value <= 0.0:
                 raise NonPositiveCountError(raw, "(group)", value)
-            _evaluate(node[1], raw, bindings, counts, multiplier * value)
+            _evaluate(body, raw, counts, multiplier * value)
 
 
 def parse_formula(raw: str) -> dict[str, float]:
     """Parse a concrete formula into {symbol: count}.
 
     Counts are un-normalized ("H2O" -> {"H": 2.0, "O": 1.0}); repeated
-    mentions of an element accumulate. Formulas still carrying stoichiometry
-    variables raise UnresolvedVariableError - substitute first.
+    mentions of an element accumulate. A formula that still carries a
+    stoichiometry variable ("La2-xSrxCuO4") raises UnresolvedVariableError:
+    the program never binds one, so a concrete value has to be written into
+    the formula before it is parsed.
     """
-    tree = _Parser(raw).parse()
-    variables = _walk_variables(tree)
-    if variables:
-        raise UnresolvedVariableError(raw, variables)
+    parser = _Parser(raw)
+    tree = parser.parse()
+    if parser.variables:
+        raise UnresolvedVariableError(raw, parser.variables)
     counts: dict[str, float] = {}
-    _evaluate(tree, raw, {}, counts)
+    _evaluate(tree, raw, counts)
     return counts
 
 
@@ -310,57 +293,6 @@ def _format_count(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return np.format_float_positional(value, unique=True, trim="-")
-
-
-def _serialize(items) -> str:
-    parts = []
-    for node in items:
-        expr = node[2]
-        if node[0] == "element":
-            parts.append(node[1])
-        else:
-            parts.append("(" + _serialize(node[1]) + ")")
-        if expr is not None:
-            const, coeffs = expr
-            if coeffs:
-                raise AssertionError("serialize called with unresolved variables")
-            parts.append(_format_count(const))
-    return "".join(parts)
-
-
-def substitute_variables(raw: str, bindings: Mapping[str, float]) -> str:
-    """Replace every stoichiometry variable with its bound value.
-
-    The structure of the formula is preserved ("FeSe1-x" with x=0 becomes
-    "FeSe1", not "FeSe"); only subscript expressions are evaluated. Missing
-    bindings raise MissingBindingError; a substitution that drives any
-    element count or group multiplier to zero or below raises
-    NonPositiveCountError.
-    """
-    tree = _Parser(raw).parse()
-    variables = _walk_variables(tree)
-    missing = variables - set(bindings)
-    if missing:
-        raise MissingBindingError(raw, missing)
-
-    def resolve(items):
-        out = []
-        for node in items:
-            expr = node[2]
-            if expr is not None:
-                const, coeffs = expr
-                value = const + sum(c * float(bindings[v]) for v, c in coeffs.items())
-                expr = (value, {})
-            if node[0] == "element":
-                out.append(("element", node[1], expr))
-            else:
-                out.append(("group", resolve(node[1]), expr))
-        return out
-
-    resolved = resolve(tree)
-    # evaluate to surface non-positive totals before serializing
-    _evaluate(resolved, raw, {}, {})
-    return _serialize(resolved)
 
 
 _KEY_SCALE = 10**6  # Composition.key() resolution: fractions in steps of 1e-6
@@ -457,10 +389,16 @@ def normalize(counts: Mapping[str, float]) -> Composition:
     """Scale raw counts to molar fractions."""
     if not counts:
         raise EmptyCountsError("cannot normalize an empty count map")
-    total = math.fsum(float(v) for v in counts.values())
     for symbol, value in counts.items():
-        if not math.isfinite(float(value)) or float(value) <= 0.0:
-            raise NonPositiveCountError(str(dict(counts)), symbol, float(value))
+        value = float(value)
+        if value <= 0.0:
+            raise NonPositiveCountError(str(dict(counts)), symbol, value)
+        if not math.isfinite(value):
+            raise FormulaError(f"element {symbol} has non-finite count {value} in {dict(counts)}")
+    try:
+        total = math.fsum(float(v) for v in counts.values())
+    except OverflowError:
+        raise FormulaError(f"the sum of the counts overflows in {dict(counts)}") from None
     return Composition({s: float(v) / total for s, v in counts.items()})
 
 

@@ -97,6 +97,14 @@ class TestIngest:
         with pytest.raises(SchemaMismatchError, match=f"^{re.escape(str(p))}:3: tc_kelvin"):
             ingest_csv(p, Source.SUPERCON)
 
+    def test_count_overflow_is_flagged_and_ingest_goes_on(self, tmp_path):
+        p = tmp_path / "in.csv"
+        huge = "H" + "9" * 308 + "O" + "9" * 308  # each count finite, their sum is not
+        p.write_text(f"formula,tc_K,year\n{huge},,\nH{'9' * 400},,\nNbN,16,\n")
+        report = ingest_csv(p, Source.COD)
+        assert report.n_rows == 3 and report.n_parsed == 1 and report.n_flagged == 2
+        assert [r.flagged_reason for r in report.records] == ["FormulaError", "FormulaError", None]
+
     def test_negative_tc_rejected_at_record_level(self):
         with pytest.raises(ValueError):
             MaterialRecord("X", None, -1.0, None, Source.SUPERCON)

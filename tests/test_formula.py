@@ -1,4 +1,4 @@
-"""Parser, substitution, and normalization tests."""
+"""Parser and normalization tests."""
 
 import math
 
@@ -11,7 +11,6 @@ from scscreen.formula import (
     Composition,
     EmptyCountsError,
     MalformedSyntaxError,
-    MissingBindingError,
     NonPositiveCountError,
     UnknownElementError,
     UnresolvedVariableError,
@@ -19,7 +18,6 @@ from scscreen.formula import (
     normalize,
     parse_composition,
     parse_formula,
-    substitute_variables,
 )
 from scscreen.ptable import ATOMIC_NUMBER
 
@@ -38,6 +36,9 @@ class TestParse:
             "O": 6.93,
         }
         assert parse_formula("Nb0.5Ti0.5") == {"Nb": 0.5, "Ti": 0.5}
+        # concrete subscript arithmetic; a sign-led subscript has a base of 1
+        assert parse_formula("Fe1+0.5Se1-0.25") == {"Fe": 1.5, "Se": 0.75}
+        assert parse_formula("MoC-0.5") == {"Mo": 1.0, "C": 0.5}
 
     def test_greedy_two_letter_then_backtrack(self):
         # Sn is a symbol; "Sx" is not, so S then variable would apply -> but
@@ -109,6 +110,29 @@ class TestParse:
         with pytest.raises(MalformedSyntaxError):
             parse_formula("O2-")
 
+    @pytest.mark.parametrize(
+        "raw, error, attrs",
+        [
+            # the tokenizer runs first: the bad character wins over the variable
+            ("Fex$", MalformedSyntaxError, {"position": 3}),
+            # the whole string parses before variables are looked at
+            ("Fe-x(", MalformedSyntaxError, {}),
+            # variables are reported before any count is checked
+            ("Fe0-x", UnresolvedVariableError, {"variables": ("x",)}),
+            ("(Fe2)0-y", UnresolvedVariableError, {"variables": ("y",)}),
+            # a variable that cancels out is still a variable
+            ("O2+x-x", UnresolvedVariableError, {"variables": ("x",)}),
+            # a group's multiplier is checked before its members
+            ("(Fe0)0", NonPositiveCountError, {"symbol": "(group)", "value": 0.0}),
+        ],
+    )
+    def test_error_precedence(self, raw, error, attrs):
+        with pytest.raises(error) as exc:
+            parse_formula(raw)
+        assert type(exc.value) is error
+        for name, value in attrs.items():
+            assert getattr(exc.value, name) == value
+
 
 class TestVariables:
     def test_detection(self):
@@ -121,30 +145,6 @@ class TestVariables:
         assert not has_unresolved_variables("((((")
         assert has_unresolved_variables("H2-x(((")
         assert not has_unresolved_variables("")
-
-    def test_substitute(self):
-        assert substitute_variables("La2-xSrxCuO4", {"x": 0.15}) == "La1.85Sr0.15CuO4"
-        assert substitute_variables("FeSe1-x", {"x": 0}) == "FeSe1"
-        assert substitute_variables("H2O", {}) == "H2O"
-
-    def test_substitute_sign_led_subscript(self):
-        # a subscript that begins with a sign carries an implicit base of 1
-        assert substitute_variables("MoC1-x", {"x": 0.5}) == "MoC0.5"
-
-    def test_substitute_errors(self):
-        with pytest.raises(MissingBindingError) as exc:
-            substitute_variables("La2-xSrxCuO4", {})
-        assert exc.value.variables == ("x",)
-        with pytest.raises(NonPositiveCountError):
-            substitute_variables("Se1-x", {"x": 1.0})
-        with pytest.raises(NonPositiveCountError):
-            substitute_variables("Se1-x", {"x": 2.0})
-
-    def test_substitute_round_trips_through_parse(self):
-        out = substitute_variables("La2-xSrxCuO4", {"x": 0.15})
-        counts = parse_formula(out)
-        assert counts["La"] == pytest.approx(1.85, abs=1e-12)
-        assert counts["Sr"] == pytest.approx(0.15, abs=1e-12)
 
 
 class TestNormalize:
@@ -168,6 +168,18 @@ class TestNormalize:
             normalize({"H": 0.0})
         with pytest.raises(NonPositiveCountError):
             normalize({"H": -1.0})
+
+    def test_non_finite_count(self):
+        for value in (math.inf, math.nan):
+            with pytest.raises(formula.FormulaError, match="non-finite count"):
+                normalize({"H": value, "O": 1.0})
+        # a count too large for a float arrives as inf from the parser
+        with pytest.raises(formula.FormulaError, match="non-finite count inf"):
+            parse_composition("H" + "9" * 400)
+
+    def test_count_sum_overflow(self):
+        with pytest.raises(formula.FormulaError, match="sum of the counts overflows"):
+            parse_composition("H" + "9" * 308 + "O" + "9" * 308)
 
     def test_composition_validates_sum(self):
         with pytest.raises(ValueError):
@@ -236,8 +248,20 @@ def test_normalize_scale_invariant(counts, scale):
         assert abs(a[s] - b[s]) <= 1e-9
 
 
+# pieces that reach every branch of the tokenizer, the parser, _evaluate and
+# normalize: two-letter symbols and their one-letter halves, "2."-style, zero
+# and out-of-range counts, parentheses, signs, variables, separators and one
+# stray character
+_formula_pieces = st.sampled_from(
+    ["Co", "CO", "C", "O", "Fe", "Nb", "Sn", "S", "N", "Xx", "Q",
+     "2", "2.", "0", "0.5", ".", "9" * 308, "9" * 400,
+     "(", ")", "+", "-", "x", "y", " ", "·", "$"]
+)
+formula_shaped = st.lists(_formula_pieces, max_size=12).map("".join)
+
+
 @settings(max_examples=300)
-@given(st.text(max_size=30))
+@given(st.text(max_size=30) | formula_shaped)
 def test_parser_is_total(raw):
     """Arbitrary input either parses or raises a structured error - never crashes."""
     try:
@@ -246,7 +270,15 @@ def test_parser_is_total(raw):
         pass
     else:
         assert counts
-        assert all(v > 0 for v in counts.values())
         assert all(s in ATOMIC_NUMBER for s in counts)
+        # a subscript of inf - inf (two counts past the float range) evaluates
+        # to nan, which normalize rejects below; every other count is positive
+        assert all(v > 0 or math.isnan(v) for v in counts.values())
+    try:
+        comp = parse_composition(raw)
+    except formula.FormulaError:
+        pass
+    else:
+        assert all(math.isfinite(v) and v > 0 for v in comp.values())
     # detection is total too
     has_unresolved_variables(raw)
