@@ -140,6 +140,10 @@ def _tokenize(raw: str) -> Iterator[tuple[str, object, int]]:
 # implicit 1. Each subscript is evaluated as it is read; a variable in one is
 # only collected into `variables`, and parse_formula rejects the formula once
 # the whole string has parsed, so a syntax error is always reported first.
+# Groups nest at most _MAX_DEPTH deep, which bounds the recursion of both
+# parse_items and _evaluate well inside Python's recursion limit.
+
+_MAX_DEPTH = 100
 
 
 class _Parser:
@@ -158,13 +162,13 @@ class _Parser:
         return tok
 
     def parse(self) -> list:
-        items = self.parse_items(top=True)
+        items = self.parse_items(depth=0)
         kind, _, at = self.peek()
         if kind is not None:
             raise MalformedSyntaxError(self.raw, at, "unmatched ')'")
         return items
 
-    def parse_items(self, top: bool) -> list:
+    def parse_items(self, depth: int) -> list:
         items = []
         while True:
             kind, value, at = self.peek()
@@ -172,14 +176,18 @@ class _Parser:
                 self.take()
                 items.append(("element", value, self.parse_subscript()))
             elif kind == _LPAREN:
+                if depth == _MAX_DEPTH:
+                    raise MalformedSyntaxError(
+                        self.raw, at, f"groups nested more than {_MAX_DEPTH} deep"
+                    )
                 self.take()
-                children = self.parse_items(top=False)
+                children = self.parse_items(depth + 1)
                 kind2, _, at2 = self.peek()
                 if kind2 != _RPAREN:
                     raise MalformedSyntaxError(self.raw, at, "unclosed '('")
                 self.take()
                 items.append(("group", children, self.parse_subscript()))
-            elif kind == _RPAREN and not top:
+            elif kind == _RPAREN and depth:
                 break
             elif kind is None:
                 break
@@ -234,7 +242,10 @@ def _evaluate(items, raw, counts, multiplier=1.0) -> None:
             total = value * multiplier
             if total <= 0.0:
                 raise NonPositiveCountError(raw, body, total)
-            counts[body] = counts.get(body, 0.0) + total
+            total += counts.get(body, 0.0)
+            if not math.isfinite(total):  # past the float range, or inf - inf
+                raise FormulaError(f"element {body} has non-finite count {total} in {raw!r}")
+            counts[body] = total
         else:
             if value <= 0.0:
                 raise NonPositiveCountError(raw, "(group)", value)
@@ -292,6 +303,8 @@ def _format_count(value: float) -> str:
     """
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
+    if 1e-4 <= abs(value) < 1e16:
+        return repr(value)  # positional in this range, and ~10x faster than numpy
     return np.format_float_positional(value, unique=True, trim="-")
 
 
@@ -340,6 +353,10 @@ class Composition(Mapping):
 
     def __len__(self) -> int:
         return len(self._fractions)
+
+    def items(self):
+        # the dict's own view; Mapping's would look up every key again
+        return self._fractions.items()
 
     def __repr__(self) -> str:
         return f"Composition({self.formula()!r})"

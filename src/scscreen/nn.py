@@ -40,10 +40,16 @@ the call returns; no view into it ever escapes the call. `forward` and
 cells as a full _INFER_ROWS-row batch on one workspace (a short last chunk
 fills up with empty rows). So their peak memory does not grow with the
 number of rows, and every GEMM has one shape, which makes a row's
-prediction independent of how many rows the call has. `train` keeps only
-each row's nonzero cells (index and value) and hands each batch's cells to
-the first layer; no dense batch is ever built, so its memory grows by
-about k × 12 B per row for k elements instead of a dense row's 3,584 B.
+prediction independent of how many rows the call has.
+
+`encode_rows` turns compositions into `EncodedRows`: each row's nonzero
+cells (index and value) in two (n, k) arrays, about k × 12 B per row for k
+elements in float32 instead of a dense row's 3,584 B. `train` and
+`predict` take such rows in place of compositions, with the same bits, so
+an experiment that trains many models on overlapping rows encodes each row
+once; `take(idx)` selects rows. `train` encodes compositions at entry and
+hands each batch's cells to the first layer, so no dense batch is ever
+built; `predict` encodes compositions one chunk at a time.
 
 `config_echo` and `config_from_dict` are the one JSON form of the config
 dataclasses, shared by experiment specs, manifests and checkpoints.
@@ -371,6 +377,7 @@ def _conv0(w: np.ndarray, b: np.ndarray, entries, n: int, ws: dict):
     channel = _CELL_CHANNEL[cell]
     pre = _ws_buf(ws, ("act", 0), (n * N_CELLS + 1, c_out), w.dtype)
     pre[:-1].reshape(n * H_GRID, W_GRID * c_out)[:] = np.tile(b, W_GRID)
+    pre[-1] = 0  # the trash row: np.empty may leave a signalling nan there
     # the (9, e, c_out) terms and their flat targets reuse workspace buffers:
     # fresh ones of this size fault their pages in on every call
     shape = (KERNEL * KERNEL, len(values), c_out)
@@ -441,10 +448,10 @@ def _forward_cached(params: ModelParams, entries, n: int, ws: dict):
 
 
 def _forward_chunks(
-    params: ModelParams, n: int, chunk: Callable[[int, int], np.ndarray]
+    params: ModelParams, n: int, chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
-    """Raw head outputs of n rows; `chunk(lo, hi)` returns rows lo:hi as a
-    channel-first (hi - lo, 4, 7, 32) batch.
+    """Raw head outputs of n rows; `chunk(lo, hi)` returns the layer-0
+    entries of rows lo:hi, in the model's dtype, as rows 0 to hi - lo - 1.
 
     Each chunk's nonzero cells are forwarded as a full _INFER_ROWS-row
     batch through one workspace, and the first hi - lo outputs are kept; a
@@ -457,8 +464,7 @@ def _forward_chunks(
     ws: dict = {}
     for lo in range(0, n, _INFER_ROWS):
         hi = min(lo + _INFER_ROWS, n)
-        entries = _entries(chunk(lo, hi), dt)
-        raw[lo:hi] = _forward_cached(params, entries, _INFER_ROWS, ws)[0][: hi - lo]
+        raw[lo:hi] = _forward_cached(params, chunk(lo, hi), _INFER_ROWS, ws)[0][: hi - lo]
     return raw
 
 
@@ -466,7 +472,8 @@ def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Raw head outputs for a (n, 4, 7, 32) batch: regression values in the
     transformed target space, or logits."""
     x = _check_batch(batch)
-    return _forward_chunks(params, x.shape[0], lambda lo, hi: x[lo:hi])
+    dt = params.config.np_dtype
+    return _forward_chunks(params, x.shape[0], lambda lo, hi: _entries(x[lo:hi], dt))
 
 
 def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> list:
@@ -653,17 +660,38 @@ def _paired_loss(head: Head, loss: Loss) -> None:
         raise ValueError(f"loss {loss.name} does not fit head {head.name}")
 
 
-def _nonzero_cells(
-    comps: Sequence[Mapping[str, float]], dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each composition's nonzero cells as two (n, k) arrays: the flat index
-    into a channel-last (7, 32, 4) row, and the value in `dtype`.
+@dataclass(frozen=True, eq=False)
+class EncodedRows:
+    """Compositions as their nonzero cells, from `encode_rows`: two (n, k)
+    arrays, `cells` (the flat index into a channel-last (7, 32, 4) row) and
+    `values`. k is the most nonzero cells in any row; a shorter row is
+    padded with cell 0 at value 0, which `_batch_entries` drops. `train`
+    and `predict` take them in place of compositions, so rows used by many
+    models are encoded once."""
 
-    k is the most nonzero cells in any row; a shorter row is padded with
-    cell 0 at value 0, which `_batch_entries` drops. Rows are encoded
-    _INFER_ROWS at a time; the (n, k) layout is built once, after the last
-    chunk.
+    cells: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def take(self, idx) -> EncodedRows:
+        """Rows `idx` (an index array), in that order."""
+        return EncodedRows(self.cells[idx], self.values[idx])
+
+
+def encode_rows(compositions: Sequence[Mapping[str, float]], dtype) -> EncodedRows:
+    """Each composition's nonzero cells, with values in `dtype`: the
+    model's dtype, or `train` and `predict` cast them to it.
+
+    Rows are encoded _INFER_ROWS at a time through `encode_ptable_batch`;
+    the (n, k) layout is built once, after the last chunk. A row's cells
+    come in the order `_entries` scans them, so a model reads the same
+    entries from these rows as from the compositions.
     """
+    comps = list(compositions)
+    if not comps:
+        return EncodedRows(np.zeros((0, 1), np.intp), np.zeros((0, 1), dtype))
     chunks = [
         _entries(encode_ptable_batch(comps[lo : lo + _INFER_ROWS]), dtype, lo)
         for lo in range(0, len(comps), _INFER_ROWS)
@@ -676,14 +704,14 @@ def _nonzero_cells(
     values = np.zeros((len(comps), k), dtype)
     cells[row, rank] = cell
     values[row, rank] = np.concatenate([vals for _, vals in chunks])
-    return cells, values
+    return EncodedRows(cells, values)
 
 
 def _batch_entries(
     cells: np.ndarray, values: np.ndarray, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Layer-0 entries of rows `idx` of `_nonzero_cells` output, as rows
-    0 to len(idx) - 1 of a batch, without the padding."""
+    """Layer-0 entries of rows `idx` of `EncodedRows` arrays, as rows 0 to
+    len(idx) - 1 of a batch, without the padding."""
     flat = cells[idx] + (np.arange(len(idx)) * TENSOR_SIZE)[:, None]
     vals = values[idx]
     real = vals != 0
@@ -691,23 +719,25 @@ def _batch_entries(
 
 
 def train(
-    samples: Sequence[tuple[Mapping[str, float], float]],
+    samples: Sequence[tuple[Mapping[str, float], float]] | EncodedRows,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     *,
+    tc_kelvin: Sequence[float] | None = None,
     label_threshold: float = 0.0,
     on_epoch: Callable[[int, ModelParams, float], bool] | None = None,
 ) -> tuple[ModelParams, list[float]]:
-    """Fit a model on (composition, tc_kelvin) pairs.
+    """Fit a model on (composition, tc_kelvin) pairs, or on `encode_rows`
+    output with each row's Tc in `tc_kelvin`.
 
     Regression targets pass through the config's tc transform; for a
     BINARY_LOGIT head the labels are tc > label_threshold. Fully
     deterministic given the two seeds (parameter init and epoch shuffling).
     Returns the trained parameters and the per-epoch mean training loss.
 
-    Compositions are encoded once, _INFER_ROWS at a time, and only their
-    nonzero cells are kept; each step hands its batch's cells straight to
-    the first conv layer, and no dense batch is built.
+    Pairs are encoded at entry, and both forms train alike, bit for bit:
+    only each row's nonzero cells are kept, each step hands its batch's
+    cells straight to the first conv layer, and no dense batch is built.
 
     `on_epoch(epoch, params, mean_loss)` runs after every epoch; returning
     truthy stops training early (used for hold-out-target stopping).
@@ -715,14 +745,20 @@ def train(
     if len(samples) == 0:
         raise EmptyDatasetError("no training samples")
     _paired_loss(model_cfg.head, train_cfg.loss)
-    comps = [c for c, _ in samples]
-    tc = np.asarray([t for _, t in samples], dtype=np.float64)
+    encoded = isinstance(samples, EncodedRows)
+    if encoded != (tc_kelvin is not None):
+        raise ValueError("tc_kelvin goes with encoded rows, and only with them")
+    tc = np.asarray(tc_kelvin if encoded else [t for _, t in samples], dtype=np.float64)
+    n = len(samples)
+    if tc.shape != (n,):
+        raise LengthMismatchError(f"{n} rows but tc_kelvin has shape {tc.shape}")
     if model_cfg.head is Head.REGRESSION:
         targets = tc_transform(tc, model_cfg.tc_transform)
     else:
         targets = (tc > label_threshold).astype(np.float64)
-    n = len(samples)
-    cells, values = _nonzero_cells(comps, model_cfg.np_dtype)
+    dt = model_cfg.np_dtype
+    rows = samples if encoded else encode_rows([c for c, _ in samples], dt)
+    cells, values = rows.cells, rows.values.astype(dt, copy=False)
 
     params = init_params(model_cfg)
     state = init_adam(params)
@@ -750,16 +786,29 @@ def train(
 
 def predict(
     params: ModelParams,
-    compositions: Sequence[Mapping[str, float]],
+    compositions: Sequence[Mapping[str, float]] | EncodedRows,
 ) -> np.ndarray:
     """Predicted Tc in kelvin (REGRESSION, clamped at 0) or positive-class
-    probability (BINARY_LOGIT) for each composition."""
-    if len(compositions) == 0:
+    probability (BINARY_LOGIT) for each composition, or each row of
+    `encode_rows` output; both forms give the same bits. Compositions are
+    encoded one inference chunk at a time."""
+    n = len(compositions)
+    if n == 0:
         return np.zeros(0)
-    comps = list(compositions)
-    raw = _forward_chunks(
-        params, len(comps), lambda lo, hi: encode_ptable_batch(comps[lo:hi])
-    ).astype(np.float64)
+    dt = params.config.np_dtype
+    if isinstance(compositions, EncodedRows):
+        rows = compositions
+
+        def chunk(lo, hi):
+            flat, vals = _batch_entries(rows.cells, rows.values, np.arange(lo, hi))
+            return flat, vals.astype(dt, copy=False)
+    else:
+        comps = list(compositions)
+
+        def chunk(lo, hi):
+            return _entries(encode_ptable_batch(comps[lo:hi]), dt)
+
+    raw = _forward_chunks(params, n, chunk).astype(np.float64)
     if params.config.head is Head.REGRESSION:
         kelvin = inverse_tc_transform(raw, params.config.tc_transform)
         return np.maximum(kelvin, 0.0)

@@ -86,6 +86,10 @@ ELEMENTS: tuple[ElementInfo, ...] = _build_table()
 INFO: dict[str, ElementInfo] = {e.symbol: e for e in ELEMENTS}
 SYMBOLS: frozenset[str] = frozenset(INFO)
 ATOMIC_NUMBER: dict[str, int] = {e.symbol: e.atomic_number for e in ELEMENTS}
+# each symbol's index into a flattened (4, 7, 32) tensor
+_FLAT_CELL: dict[str, int] = {
+    e.symbol: (e.block.value * N_ROWS + e.row - 1) * N_COLS + e.col - 1 for e in ELEMENTS
+}
 
 
 def element_coordinates(symbol: str) -> ElementInfo:
@@ -106,14 +110,21 @@ def encode_ptable(composition: Mapping[str, float]) -> np.ndarray:
 
 
 def encode_ptable_batch(compositions: Iterable[Mapping[str, float]]) -> np.ndarray:
-    """Stack encode_ptable over many compositions into (n, 4, 7, 32)."""
+    """Stack encode_ptable over many compositions into (n, 4, 7, 32).
+
+    One table lookup per element and one fancy assignment for the batch;
+    an unknown symbol raises KeyError.
+    """
     comps = list(compositions)
-    out = np.zeros((len(comps), *TENSOR_SHAPE))
+    rows, cells, fractions = [], [], []
     for i, c in enumerate(comps):
         for symbol, fraction in c.items():
-            e = INFO[symbol]
-            out[i, e.block.value, e.row - 1, e.col - 1] = fraction
-    return out
+            rows.append(i)
+            cells.append(_FLAT_CELL[symbol])
+            fractions.append(fraction)
+    out = np.zeros((len(comps), TENSOR_SIZE))
+    out[rows, cells] = fractions
+    return out.reshape(len(comps), *TENSOR_SHAPE)
 
 
 def decode_ptable(tensor: np.ndarray) -> dict[str, float]:

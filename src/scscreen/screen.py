@@ -28,6 +28,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataset import (
     FamilyLabel,
     MaterialRecord,
@@ -39,7 +41,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import UnknownFieldError
-from .formula import Composition, FormulaError, parse_composition
+from .formula import FormulaError, parse_composition
 from .metrics import (
     EvalReport,
     Histogram,
@@ -49,11 +51,13 @@ from .metrics import (
 )
 from .nn import (
     EmptyDatasetError,
+    EncodedRows,
     Head,
     ModelConfig,
     TrainConfig,
     config_echo,
     config_from_dict,
+    encode_rows,
     predict,
     train,
 )
@@ -257,8 +261,10 @@ def _trainable(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     return [r for r in records if r.composition is not None and r.tc_kelvin is not None]
 
 
-def _samples(records: Iterable[MaterialRecord]) -> list[tuple[Composition, float]]:
-    return [(r.composition, r.tc_kelvin) for r in records]
+def _encode(records: Sequence[MaterialRecord], spec: ExperimentSpec) -> EncodedRows:
+    """The records' compositions, encoded once in the model's dtype for
+    every model of the experiment to share (threads only read them)."""
+    return encode_rows([r.composition for r in records], spec.model.np_dtype)
 
 
 def _keys(records: Iterable[MaterialRecord]) -> set[tuple]:
@@ -378,14 +384,17 @@ def run_candidate_screen(
         raise EmptyDatasetError("catalogue is empty after overlap removal")
     _assert_corpus_disjoint(sc_train, corpus)
     folds = rotating_folds(corpus, spec.fold_size, seed=spec.model.seed)
-    sc_samples = _samples(sc_train)
+    # encoded rows 0 to len(sc_train) - 1 are the superconductors, then the corpus
+    encoded = _encode(sc_train + corpus, spec)
+    tc = np.array([r.tc_kelvin for r in sc_train + corpus])
+    sc_idx = np.arange(len(sc_train))
 
     def score_fold(task):
         fold_id, (train_idx, test_idx) = task
         model_cfg = dataclasses.replace(spec.model, seed=spec.model.seed + fold_id)
-        samples = sc_samples + _samples(corpus[i] for i in train_idx)
-        params, _ = train(samples, model_cfg, spec.train)
-        return predict(params, [corpus[i].composition for i in test_idx])
+        idx = np.concatenate([sc_idx, len(sc_train) + np.asarray(train_idx, np.intp)])
+        params, _ = train(encoded.take(idx), model_cfg, spec.train, tc_kelvin=tc[idx])
+        return predict(params, encoded.take(len(sc_train) + np.asarray(test_idx, np.intp)))
 
     per_fold = _run_indexed(list(enumerate(folds)), score_fold, jobs)
     rows = [
@@ -470,15 +479,17 @@ def run_temporal_eval(
         raise EmptyDatasetError("evaluation list is empty after overlap removal")
 
     true_tc = [r.tc_kelvin for r in eval_rows]
-    eval_comps = [r.composition for r in eval_rows]
-    samples = _samples(train_rows)
+    train_encoded, train_tc = _encode(train_rows, spec), [r.tc_kelvin for r in train_rows]
+    eval_encoded = _encode(eval_rows, spec)
     head = spec.model.head
 
     reports = []
     for t in spec.thresholds:
         if not reports or head is Head.BINARY_LOGIT:
-            params, _ = train(samples, spec.model, spec.train, label_threshold=t)
-            pred = predict(params, eval_comps)
+            params, _ = train(
+                train_encoded, spec.model, spec.train, tc_kelvin=train_tc, label_threshold=t
+            )
+            pred = predict(params, eval_encoded)
         reports.append(_report(head, pred, true_tc, t))
     return reports
 
@@ -553,9 +564,9 @@ def run_family_discovery(
     if eval_list is not None and not eval_rows:
         raise EmptyDatasetError("reference list is empty after overlap removal")
 
-    samples = _samples(train_rows)
-    test_comps = [r.composition for r in test_rows]
-    eval_comps = [r.composition for r in eval_rows]
+    train_encoded, train_tc = _encode(train_rows, spec), [r.tc_kelvin for r in train_rows]
+    test_encoded = _encode(test_rows, spec)
+    eval_encoded = _encode(eval_rows, spec)
     eval_tc = [r.tc_kelvin for r in eval_rows]
     check_t = spec.thresholds[0]
 
@@ -566,13 +577,15 @@ def run_family_discovery(
         train_cfg = dataclasses.replace(
             spec.train, shuffle_seed=spec.train.shuffle_seed + k
         )
-        params, _ = train(samples, model_cfg, train_cfg, label_threshold=check_t)
-        pred = predict(params, test_comps)
+        params, _ = train(
+            train_encoded, model_cfg, train_cfg, tc_kelvin=train_tc, label_threshold=check_t
+        )
+        pred = predict(params, test_encoded)
         n_positive = int((pred > (0.5 if classifying else 0.0)).sum())
         report = None
         valid = None
         if eval_rows:
-            report = _report(spec.model.head, predict(params, eval_comps), eval_tc, check_t)
+            report = _report(spec.model.head, predict(params, eval_encoded), eval_tc, check_t)
             valid = report.precision is not None and report.precision > report.baseline_precision
         return RunReport(
             run_index=k,

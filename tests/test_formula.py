@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scscreen import formula
+from scscreen.dataset import Source, make_record
 from scscreen.formula import (
     Composition,
     EmptyCountsError,
@@ -106,6 +108,31 @@ class TestParse:
         with pytest.raises(NonPositiveCountError):
             parse_formula("H2-2O")
 
+    def test_deep_nesting_is_malformed(self):
+        # 100 nested groups parse; one more is a syntax error at its "(",
+        # never a RecursionError, however deep the string goes
+        assert parse_formula("(" * 100 + "H" + ")" * 100) == {"H": 1.0}
+        for depth in (101, 2000, 100_000):
+            with pytest.raises(MalformedSyntaxError, match="nested more than 100 deep") as exc:
+                parse_formula("(" * depth + "H" + ")" * depth)
+            assert exc.value.position == 100
+        rec = make_record("(" * 2000 + "H" + ")" * 2000, None, None, Source.COD)
+        assert rec.composition is None and rec.flagged_reason == "MalformedSyntaxError"
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [
+            ("H" + "9" * 400, "inf"),  # one count past the float range
+            ("H" + "9" * 400 + "-" + "9" * 400, "nan"),  # inf - inf
+            ("H" + "9" * 308 + "H" + "9" * 308, "inf"),  # finite parts, infinite sum
+            ("(H" + "9" * 200 + ")" + "9" * 200, "inf"),  # through a group multiplier
+        ],
+        ids=["count", "inf-minus-inf", "sum", "group"],
+    )
+    def test_non_finite_count_rejected(self, raw, value):
+        with pytest.raises(formula.FormulaError, match=f"element H has non-finite count {value}"):
+            parse_formula(raw)
+
     def test_trailing_sign_is_malformed(self):
         with pytest.raises(MalformedSyntaxError):
             parse_formula("O2-")
@@ -190,6 +217,11 @@ class TestNormalize:
         assert tuple(c) == ("H", "O", "Fe")
         assert c.formula().startswith("H")
 
+    def test_items_follow_iteration_order(self):
+        c = parse_composition("OFeH")
+        assert list(c.items()) == [(s, c[s]) for s in c]
+        assert [s for s, _ in c.items()] == ["H", "O", "Fe"]
+
     def test_equality_and_hash(self):
         a = parse_composition("H2O")
         b = parse_composition("OH2")
@@ -271,9 +303,7 @@ def test_parser_is_total(raw):
     else:
         assert counts
         assert all(s in ATOMIC_NUMBER for s in counts)
-        # a subscript of inf - inf (two counts past the float range) evaluates
-        # to nan, which normalize rejects below; every other count is positive
-        assert all(v > 0 or math.isnan(v) for v in counts.values())
+        assert all(math.isfinite(v) and v > 0 for v in counts.values())
     try:
         comp = parse_composition(raw)
     except formula.FormulaError:
@@ -282,3 +312,26 @@ def test_parser_is_total(raw):
         assert all(math.isfinite(v) and v > 0 for v in comp.values())
     # detection is total too
     has_unresolved_variables(raw)
+
+
+def test_format_count_matches_numpy_positional():
+    # repr is the fast path inside [1e-4, 1e16); outside it, and as the
+    # reference everywhere, the count is numpy's shortest positional form
+    rng = np.random.default_rng(20181205)
+    n = 40_000
+    edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e-3,
+             np.nextafter(1e16, 0), 1e16, 1e15 + 0.5, 0.1, 1 / 3, 2 / 3, 0.5, 5e-324]
+    values = np.concatenate([
+        rng.random(n),  # [0, 1), the fractions formula() prints
+        rng.uniform(1e-4, 1e-3, n),
+        rng.uniform(1.0, 1e15, n),
+        10.0 ** rng.uniform(-8, 17, n),
+        edges,
+    ])
+    for v in values.tolist():
+        for x in (v, -v):
+            if x == int(x) and abs(x) < 1e16:
+                want = str(int(x))
+            else:
+                want = np.format_float_positional(x, unique=True, trim="-")
+            assert formula._format_count(x) == want, repr(x)

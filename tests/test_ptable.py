@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from scscreen import ptable
 from scscreen.cli import main
+from scscreen.formula import normalize
 from scscreen.ptable import (
     ELEMENTS,
     N_COLS,
@@ -157,6 +158,28 @@ def test_batch_encode_matches_single():
     assert batch.shape == (3, *TENSOR_SHAPE)
     for i, c in enumerate(cs):
         assert np.array_equal(batch[i], encode_ptable(c))
+
+
+def test_batch_encode_matches_cell_by_cell_reference():
+    # the flat-index table writes each fraction where the element's
+    # (block, row, col) says, byte for byte, for all 118 elements and for
+    # mixed batches (Composition and plain-dict rows, an empty batch)
+    rng = np.random.default_rng(11)
+    comps = [{e.symbol: 1.0} for e in ELEMENTS]
+    for _ in range(300):
+        syms = rng.choice([e.symbol for e in ELEMENTS], size=rng.integers(1, 7), replace=False)
+        comps.append(normalize({str(s): float(w) for s, w in zip(syms, rng.random(len(syms)) + 0.01)}))
+    want = np.zeros((len(comps), *TENSOR_SHAPE))
+    for i, c in enumerate(comps):
+        for symbol, fraction in c.items():
+            e = element_coordinates(symbol)
+            want[i, e.block.value, e.row - 1, e.col - 1] = fraction
+    got = encode_ptable_batch(comps)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert encode_ptable_batch([]).shape == (0, *TENSOR_SHAPE)
+    with pytest.raises(KeyError):
+        encode_ptable_batch([{"Xx": 1.0}])
 
 
 def test_flat_csv_round_trip(tmp_path):

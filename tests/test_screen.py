@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from scscreen.dataset import FamilyLabel, Source, make_record
+from scscreen import nn, screen
+from scscreen.dataset import FamilyLabel, Source, classify_family, garbage_in, make_record
 from scscreen.formula import parse_composition
 from scscreen.metrics import EvalReport
 from scscreen.nn import (
@@ -590,3 +591,67 @@ class TestFamilyDiscovery:
         assert rows[0][:4] == ["run_index", "model_seed", "shuffle_seed", "n_positive"]
         assert len(rows) == 3
         assert rows[1][6] in ("true", "false")
+
+
+# ---------------------------------------------------------------------------
+# each experiment encodes its rows once
+
+
+@pytest.fixture
+def encoded_rows(monkeypatch):
+    """Every composition nn.encode_ptable_batch is handed, in call order."""
+    seen = []
+    encode = nn.encode_ptable_batch
+
+    def recorded(comps):
+        comps = list(comps)
+        seen.extend(comps)
+        return encode(comps)
+
+    monkeypatch.setattr(nn, "encode_ptable_batch", recorded)
+    return seen
+
+
+def assert_each_once(seen, rows):
+    """`seen` holds each of `rows`' compositions exactly once (records keep
+    their composition objects alive, so ids are distinct)."""
+    assert len(seen) == len(rows)
+    assert sorted(map(id, seen)) == sorted(id(r.composition) for r in rows)
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_screen_encodes_training_and_corpus_rows_once(self, encoded_rows, jobs):
+        sc, cod, spec = sc_world(), screen_cod(), screen_spec(train=quick_train(epochs=1))
+        result = run_candidate_screen(sc, cod, spec, jobs=jobs)
+        sc_train = screen._training_sc(sc, spec)
+        corpus = garbage_in(cod, sc_train)
+        assert result.n_folds == 3
+        assert_each_once(encoded_rows, sc_train + corpus)
+
+    def test_temporal_eval_encodes_once_for_every_threshold(self, encoded_rows):
+        # a BINARY_LOGIT head trains one model per threshold
+        sc, cod, evals = sc_world(), cod_world(), eval_list_rows()
+        spec = eval_spec(
+            model=tiny_model(head=Head.BINARY_LOGIT),
+            train=quick_train(epochs=1, loss=Loss.BCE_LOGIT),
+        )
+        assert len(spec.thresholds) == 3
+        run_temporal_eval(sc, cod, evals, spec)
+        train_rows, (eval_rows,) = screen._hold_out(
+            screen._training_sc(sc, spec), cod, spec, [evals], "check"
+        )
+        assert_each_once(encoded_rows, train_rows + eval_rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_discovery_encodes_once_for_every_repeat(self, encoded_rows, jobs):
+        (sc, cod), evals = discovery_world(), eval_list_rows()
+        spec = discovery_spec(repeats=3)
+        res = run_family_discovery(sc, cod, spec, eval_list=evals, jobs=jobs)
+        assert len(res.runs) == 3
+        fesc = [r for r in sc if classify_family(r.composition) is FamilyLabel.FESC]
+        assert len(fesc) == len(FESC_ROWS)
+        train_rows, (test_rows, eval_rows) = screen._hold_out(
+            screen._training_sc(sc, spec), cod, spec, [fesc, evals], "check"
+        )
+        assert_each_once(encoded_rows, train_rows + test_rows + eval_rows)
