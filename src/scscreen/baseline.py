@@ -98,7 +98,8 @@ def load_element_features(path) -> dict[str, np.ndarray]:
 
     Rows with any blank cell are treated as not yet populated and skipped;
     compositions touching them fail later with MissingElementFeaturesError.
-    A line the csv module cannot read is a ValueError naming it.
+    A line the csv module cannot read, and a cell that is not a finite
+    number, is a ValueError naming it.
     """
     table: dict[str, np.ndarray] = {}
     with open(path, newline="") as fh:
@@ -120,16 +121,30 @@ def load_element_features(path) -> dict[str, np.ndarray]:
         if any(cell.strip() == "" for cell in row[1:]):
             continue
         try:
-            table[symbol] = np.array([float(c) for c in row[1:]], dtype=np.float64)
+            vec = np.array([float(c) for c in row[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"{path}:{lineno}: {FEATURE_NAMES[j]} must be finite, got {row[j + 1].strip()}"
+            )
+        table[symbol] = vec
     return table
 
 
 def aggregate_features(
     composition: Mapping[str, float], table: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Collapse one composition to the 256-vector of aggregated properties.
+    """The 256-vector of one composition; see `aggregate_features_batch`."""
+    return aggregate_features_batch([composition], table)[0]
+
+
+def aggregate_features_batch(
+    compositions: Sequence[Mapping[str, float]], table: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Collapse each composition to the 256-vector of aggregated properties.
 
     Per basic feature f over the constituent elements (weights = molar
     fractions w): weighted average Σwf; weighted variance Σw(f−avg)²; max;
@@ -137,45 +152,70 @@ def aggregate_features(
     break toward the smaller atomic number); weighted median = smallest
     value whose cumulative weight reaches 0.5; mean absolute difference
     Σw|f−avg|.
+
+    Rows are aggregated together by element count. An empty composition, a
+    missing element or a feature row of the wrong width raises for the
+    first such composition in input order.
     """
-    if not composition:
-        raise ValueError("empty composition")
-    symbols = sorted(composition, key=lambda s: ATOMIC_NUMBER.get(s, 0))
-    missing = [s for s in symbols if s not in table]
-    if missing:
-        raise MissingElementFeaturesError(
-            f"no feature rows for: {', '.join(missing)}"
-        )
-    w = np.array([composition[s] for s in symbols], dtype=np.float64)
-    feats = np.stack([np.asarray(table[s], dtype=np.float64) for s in symbols])
-    if feats.shape[1] != N_BASIC:
-        raise ShapeMismatchError(f"feature rows must have {N_BASIC} values, got {feats.shape[1]}")
+    slot: dict[str, int] = {}  # symbol -> its row in `vectors`
+    vectors: list[np.ndarray] = []
+    groups: dict[int, tuple[list, list, list]] = {}  # element count -> (rows, slots, weights)
+    for i, composition in enumerate(compositions):
+        if not composition:
+            raise ValueError("empty composition")
+        symbols = sorted(composition, key=lambda s: ATOMIC_NUMBER.get(s, 0))
+        missing = [s for s in symbols if s not in table]
+        if missing:
+            raise MissingElementFeaturesError(f"no feature rows for: {', '.join(missing)}")
+        for s in symbols:
+            if s not in slot:
+                vec = np.asarray(table[s], dtype=np.float64)
+                if vec.shape != (N_BASIC,):
+                    raise ShapeMismatchError(
+                        f"feature rows must have {N_BASIC} values, got {vec.size}"
+                    )
+                slot[s] = len(vectors)
+                vectors.append(vec)
+        rows, slots, weights = groups.setdefault(len(symbols), ([], [], []))
+        rows.append(i)
+        slots.append([slot[s] for s in symbols])
+        weights.append([composition[s] for s in symbols])
 
-    avg = w @ feats
-    dev = feats - avg
-    var = w @ (dev * dev)
-    mad = w @ np.abs(dev)
-    mx = feats.max(axis=0)
-    mn = feats.min(axis=0)
-    # symbols are in atomic-number order and argmax keeps the first maximum,
+    out = np.empty((len(compositions), N_AGGREGATED))
+    if vectors:
+        stacked = np.stack(vectors)
+        for rows, slots, weights in groups.values():
+            out[rows] = _aggregate(np.array(weights, dtype=np.float64), stacked[np.array(slots)])
+    return out
+
+
+def _aggregate(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """(g, 256) aggregates of g compositions with k elements each: weights
+    `w` (g, k) and feature rows `feats` (g, k, 32), elements in atomic-number
+    order."""
+    g = w.shape[0]
+    wv = w[:, None, :]  # one (1, k) @ (k, 32) product per row: the BLAS call of a lone row
+    avg = (wv @ feats)[:, 0]
+    dev = feats - avg[:, None, :]
+    var = (wv @ (dev * dev))[:, 0]
+    mad = (wv @ np.abs(dev))[:, 0]
+    mx = feats.max(axis=1)
+    mn = feats.min(axis=1)
+    # elements are in atomic-number order and argmax keeps the first maximum,
     # so equal fractions resolve to the smaller atomic number
-    mode = feats[int(np.argmax(w))]
+    mode = feats[np.arange(g), np.argmax(w, axis=1)]
 
-    order = np.argsort(feats, axis=0, kind="stable")
-    sorted_w = np.take_along_axis(np.broadcast_to(w[:, None], feats.shape), order, axis=0)
-    cum = np.cumsum(sorted_w, axis=0)
-    first = np.argmax(cum >= 0.5, axis=0)
+    # stable: within a run of equal values the running weight sum must add
+    # up in element order, or rounding can move where it reaches 0.5
+    order = np.argsort(feats, axis=1, kind="stable")
+    sorted_w = np.take_along_axis(np.broadcast_to(w[:, :, None], feats.shape), order, axis=1)
+    cum = np.cumsum(sorted_w, axis=1)
+    first = np.argmax(cum >= 0.5, axis=1)
     median = np.take_along_axis(
-        np.take_along_axis(feats, order, axis=0), first[None, :], axis=0
-    )[0]
+        np.take_along_axis(feats, order, axis=1), first[:, None, :], axis=1
+    )[:, 0]
 
-    return np.concatenate([avg, var, mx, mn, mx - mn, mode, median, mad])
-
-
-def aggregate_features_batch(
-    compositions: Sequence[Mapping[str, float]], table: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    return np.stack([aggregate_features(c, table) for c in compositions])
+    return np.concatenate([avg, var, mx, mn, mx - mn, mode, median, mad], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,41 +241,45 @@ class ForestModel:
     seed: int
 
 
-def _best_split(x_cols: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
-    """Lowest weighted-Gini split over the given feature columns.
+def _best_split(cols: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
+    """Lowest weighted-Gini split over the candidate columns, one per row of
+    `cols` (m, n), for the node's labels `y` (n,).
 
     Returns (feature, threshold, score) or None when every candidate column
-    is constant on this node.
+    is constant on this node. Ties go to the first column in `feature_ids`
+    order, then to the smallest threshold.
     """
     n = y.shape[0]
-    total_pos = int(y.sum())
-    best = None
-    for j, col in zip(feature_ids, x_cols.T):
-        order = np.argsort(col, kind="stable")
-        vs = col[order]
-        cum_pos = np.cumsum(y[order])
-        cut = np.flatnonzero(vs[:-1] < vs[1:])  # split between distinct values
-        if cut.size == 0:
-            continue
-        n_l = cut + 1.0
-        n_r = n - n_l
-        pos_l = cum_pos[cut]
-        pos_r = total_pos - pos_l
-        gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
-        gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
-        score = (n_l * gini_l + n_r * gini_r) / n
-        k = int(np.argmin(score))
-        if best is None or score[k] < best[2]:
-            i = cut[k]
-            best = (int(j), float((vs[i] + vs[i + 1]) / 2.0), float(score[k]))
-    return best
+    # A cut only falls between distinct values, and what it reads there (the
+    # positives at or below it, the midpoint to the next value) does not
+    # depend on the order inside a run of equal values: no stable sort needed.
+    order = np.argsort(cols, axis=1)
+    vs = np.take_along_axis(cols, order, axis=1)
+    cum_pos = np.cumsum(y[order], axis=1)
+    col, cut = np.nonzero(vs[:, :-1] < vs[:, 1:])
+    if cut.size == 0:
+        return None
+    n_l = cut + 1.0
+    n_r = n - n_l
+    pos_l = cum_pos[col, cut]
+    pos_r = cum_pos[0, -1] - pos_l
+    gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
+    gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
+    score = (n_l * gini_l + n_r * gini_r) / n
+    k = int(np.argmin(score))  # row-major: first column, then smallest cut
+    c, i = col[k], cut[k]
+    return int(feature_ids[c]), float((vs[c, i] + vs[c, i + 1]) / 2.0), float(score[k])
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Tree:
-    """CART to purity (min leaf 1), sampling sqrt(d) candidate features per
-    split and falling back to the full feature set when the sample is
-    uninformative; leaves take the majority class, ties to 0."""
-    d = x.shape[1]
+def _grow_tree(
+    xt: np.ndarray, y: np.ndarray, rows: np.ndarray, rng: np.random.Generator
+) -> _Tree:
+    """CART to purity (min leaf 1) on the sample `rows` (repeats allowed) of
+    the feature-major matrix `xt` (d, N) and labels `y` (N,), sampling
+    sqrt(d) candidate features per split and falling back to the full
+    feature set when the sample is uninformative; leaves take the majority
+    class, ties to 0."""
+    d = xt.shape[0]
     m = max(1, int(round(np.sqrt(d))))
     feature, threshold, left, right, leaf_class = [], [], [], [], []
 
@@ -248,7 +292,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Tree:
         return len(feature) - 1
 
     root = new_node()
-    stack = [(np.arange(x.shape[0]), root)]
+    stack = [(rows, root)]
     while stack:
         idx, node = stack.pop()
         ys = y[idx]
@@ -257,14 +301,14 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Tree:
             leaf_class[node] = 1 if pos else 0
             continue
         cand = rng.choice(d, size=m, replace=False) if m < d else np.arange(d)
-        split = _best_split(x[np.ix_(idx, cand)], ys, cand)
+        split = _best_split(xt[np.ix_(cand, idx)], ys, cand)
         if split is None and m < d:
-            split = _best_split(x[idx], ys, np.arange(d))
+            split = _best_split(xt[:, idx], ys, np.arange(d))
         if split is None:  # duplicate rows with conflicting labels
             leaf_class[node] = 1 if 2 * pos > len(idx) else 0
             continue
         j, thr, _ = split
-        go_left = x[idx, j] <= thr
+        go_left = xt[j, idx] <= thr
         feature[node] = j
         threshold[node] = thr
         left[node] = new_node()
@@ -319,10 +363,10 @@ def train_forest(
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+    xt = np.ascontiguousarray(x.T)  # one feature-major copy that every tree samples from
 
     def build(rng):
-        idx = rng.integers(0, x.shape[0], size=x.shape[0])
-        return _grow_tree(x[idx], y[idx], rng)
+        return _grow_tree(xt, y, rng.integers(0, x.shape[0], size=x.shape[0]), rng)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

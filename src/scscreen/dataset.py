@@ -195,6 +195,9 @@ def dedup_median_tc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
             continue
         key, first = entry
         group = groups[key]
+        if len(group) == 1:  # already its own median Tc and earliest year
+            out.append(first)
+            continue
         tcs = sorted(r.tc_kelvin for r in group if r.tc_kelvin is not None)
         tc = tcs[(len(tcs) - 1) // 2] if tcs else None
         years = [r.year for r in group if r.year is not None]

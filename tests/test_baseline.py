@@ -1,5 +1,7 @@
 """Feature aggregation arithmetic and forest behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from scscreen.baseline import (
     N_BASIC,
     ShapeMismatchError,
     SingleClassInputError,
+    _best_split,
     _grow_tree,
     _tree_votes,
     aggregate_features,
@@ -24,7 +27,7 @@ from scscreen.baseline import (
     write_feature_template,
 )
 from scscreen.formula import normalize
-from scscreen.ptable import ELEMENTS, SYMBOLS
+from scscreen.ptable import ATOMIC_NUMBER, ELEMENTS, SYMBOLS
 
 
 def table_for(values_by_symbol):
@@ -47,6 +50,29 @@ class TestFeatureNames:
     def test_aggregated_size(self):
         assert len(AGGREGATOR_NAMES) == 8
         assert N_AGGREGATED == 256
+
+
+def reference_aggregate(composition, table):
+    """The per-row aggregation body that `aggregate_features_batch` replaced,
+    kept as its byte-for-byte reference."""
+    symbols = sorted(composition, key=lambda s: ATOMIC_NUMBER.get(s, 0))
+    w = np.array([composition[s] for s in symbols], dtype=np.float64)
+    feats = np.stack([np.asarray(table[s], dtype=np.float64) for s in symbols])
+    avg = w @ feats
+    dev = feats - avg
+    var = w @ (dev * dev)
+    mad = w @ np.abs(dev)
+    mx = feats.max(axis=0)
+    mn = feats.min(axis=0)
+    mode = feats[int(np.argmax(w))]
+    order = np.argsort(feats, axis=0, kind="stable")
+    sorted_w = np.take_along_axis(np.broadcast_to(w[:, None], feats.shape), order, axis=0)
+    cum = np.cumsum(sorted_w, axis=0)
+    first = np.argmax(cum >= 0.5, axis=0)
+    median = np.take_along_axis(
+        np.take_along_axis(feats, order, axis=0), first[None, :], axis=0
+    )[0]
+    return np.concatenate([avg, var, mx, mn, mx - mn, mode, median, mad])
 
 
 class TestAggregate:
@@ -129,6 +155,39 @@ class TestAggregate:
         assert np.allclose(rng_, mx - mn)
         assert np.all(var >= 0) and np.all(mad >= 0)
 
+    def test_batch_raises_for_first_bad_row_in_input_order(self):
+        table = table_for({"Nb": 1.0, "Ti": 2.0})
+        table["Sn"] = np.zeros(31)  # wrong width
+        ok, missing = normalize({"Nb": 1.0}), normalize({"Ti": 1.0, "H": 1.0, "O": 1.0})
+        wide = normalize({"Nb": 1.0, "Sn": 1.0})
+        with pytest.raises(ValueError, match="empty composition"):
+            aggregate_features_batch([ok, {}, missing, wide], table)
+        with pytest.raises(MissingElementFeaturesError) as err:
+            aggregate_features_batch([ok, missing, {}, wide], table)
+        assert err.value.args[0] == "no feature rows for: H, O"  # atomic-number order
+        with pytest.raises(ShapeMismatchError, match="32 values, got 31"):
+            aggregate_features_batch([ok, wide, missing], table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.booleans())
+    def test_batch_is_byte_equal_to_per_row_reference(self, seed, ties):
+        # 1-6 elements per row; integer counts and integer feature levels make
+        # tied fractions and tied feature values common
+        rng = np.random.default_rng(seed)
+        pool = ["H", "Li", "C", "O", "Al", "Fe", "Cu", "Nb", "Sn", "Ba"]
+        if ties:
+            table = {s: rng.integers(0, 3, N_BASIC).astype(float) for s in pool}
+        else:
+            table = {s: rng.normal(0, 10, N_BASIC) for s in pool}
+        comps = []
+        for _ in range(int(rng.integers(1, 30))):
+            k = int(rng.integers(1, 7))
+            symbols = rng.choice(pool, size=k, replace=False)
+            counts = rng.integers(1, 4, k) if ties else rng.random(k) + 0.05
+            comps.append(normalize({str(s): float(c) for s, c in zip(symbols, counts)}))
+        expected = np.stack([reference_aggregate(c, table) for c in comps])
+        assert aggregate_features_batch(comps, table).tobytes() == expected.tobytes()
+
 
 class TestFeatureCsv:
     def test_template_and_load_round_trip(self, tmp_path):
@@ -177,6 +236,19 @@ class TestFeatureCsv:
         with pytest.raises(ValueError):
             load_element_features(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        cells = ["1"] * 32
+        cells[4] = cell
+        path.write_text(
+            "symbol," + ",".join(FEATURE_NAMES) + "\nNb," + ",".join(["2"] * 32)
+            + "\nTi," + ",".join(cells) + "\n"
+        )
+        with pytest.raises(ValueError) as err:
+            load_element_features(path)
+        assert str(err.value) == f"{path}:3: GSbandgap must be finite, got {cell}"
+
 
 def separable_set(n=40, d=2, seed=0, gap_feature=0):
     rng = np.random.default_rng(seed)
@@ -184,6 +256,44 @@ def separable_set(n=40, d=2, seed=0, gap_feature=0):
     y = (np.arange(n) % 2).astype(np.int8)
     x[y == 0, gap_feature] = rng.uniform(0.0, 1.0, (y == 0).sum())
     x[y == 1, gap_feature] = rng.uniform(3.0, 4.0, (y == 1).sum())
+    return x, y
+
+
+def reference_best_split(x_cols, y, feature_ids):
+    """The per-column stable-argsort loop that `_best_split` replaced, kept
+    as its reference; `x_cols` is (n, m)."""
+    n = y.shape[0]
+    total_pos = int(y.sum())
+    best = None
+    for j, col in zip(feature_ids, x_cols.T):
+        order = np.argsort(col, kind="stable")
+        vs = col[order]
+        cum_pos = np.cumsum(y[order])
+        cut = np.flatnonzero(vs[:-1] < vs[1:])
+        if cut.size == 0:
+            continue
+        n_l = cut + 1.0
+        n_r = n - n_l
+        pos_l = cum_pos[cut]
+        pos_r = total_pos - pos_l
+        gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
+        gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
+        score = (n_l * gini_l + n_r * gini_r) / n
+        k = int(np.argmin(score))
+        if best is None or score[k] < best[2]:
+            i = cut[k]
+            best = (int(j), float((vs[i] + vs[i + 1]) / 2.0), float(score[k]))
+    return best
+
+
+def tie_heavy_matrix():
+    rng = np.random.default_rng(2024)
+    x = rng.integers(0, 4, (300, 12)).astype(np.float64)
+    x[:, 3] = 1.5  # a constant column
+    x[:, 7] = rng.integers(0, 2, 300)
+    x[200:260] = x[140:200]  # duplicate rows ...
+    y = rng.integers(0, 2, 300).astype(np.int8)
+    y[200:260] = 1 - y[140:200]  # ... with conflicting labels
     return x, y
 
 
@@ -217,10 +327,10 @@ class TestForest:
         x, y = separable_set(n=20)
         model = train_forest(x, y, n_trees=2, seed=0)
         # stitch a 2-tree model whose trees always disagree
-        leaf_pos = _grow_tree(np.array([[0.0], [0.0]]), np.array([1, 1], dtype=np.int8),
-                              np.random.default_rng(0))
-        leaf_neg = _grow_tree(np.array([[0.0], [0.0]]), np.array([0, 0], dtype=np.int8),
-                              np.random.default_rng(0))
+        leaf_pos = _grow_tree(np.array([[0.0, 0.0]]), np.array([1, 1], dtype=np.int8),
+                              np.arange(2), np.random.default_rng(0))
+        leaf_neg = _grow_tree(np.array([[0.0, 0.0]]), np.array([0, 0], dtype=np.int8),
+                              np.arange(2), np.random.default_rng(0))
         tied = ForestModel([leaf_pos, leaf_neg], n_features=1, n_trees=2, seed=0)
         cls, frac = predict_forest(tied, np.array([[5.0]]))
         assert frac[0] == 0.5 and cls[0] == 0
@@ -261,5 +371,44 @@ class TestForest:
         y = rng.integers(0, 2, n).astype(np.int8)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        tree = _grow_tree(x, y, rng)
+        tree = _grow_tree(np.ascontiguousarray(x.T), y, np.arange(n), rng)
         assert np.array_equal(_tree_votes(tree, x), y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        levels=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6),
+        n_dup=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_best_split_matches_per_column_reference(self, n, levels, n_dup, seed):
+        # tie-heavy nodes: each column has 1-4 integer levels (1 = constant),
+        # and duplicated rows carry the opposite label
+        rng = np.random.default_rng(seed)
+        x = np.stack([rng.integers(0, lv, n) * 0.5 for lv in levels], axis=1)
+        y = rng.integers(0, 2, n).astype(np.int8)
+        dup = rng.integers(0, n, n_dup)
+        x, y = np.concatenate([x, x[dup]]), np.concatenate([y, 1 - y[dup]])
+        feature_ids = rng.permutation(40)[: len(levels)]
+        got = _best_split(np.ascontiguousarray(x.T), y, feature_ids)
+        want = reference_best_split(x, y, feature_ids)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0]
+            assert got[1].hex() == want[1].hex() and got[2].hex() == want[2].hex()
+
+    def test_tie_heavy_forest_golden(self):
+        # sha256 of every tree array, recorded before the split search and
+        # the sample layout were vectorised
+        x, y = tie_heavy_matrix()
+        for jobs in (1, 2):
+            model = train_forest(x, y, n_trees=6, seed=3, jobs=jobs)
+            digest = hashlib.sha256()
+            for t in model.trees:
+                for a in (t.feature, t.threshold, t.left, t.right, t.leaf_class):
+                    digest.update(a.tobytes())
+            assert sum(len(t.feature) for t in model.trees) == 1264
+            assert digest.hexdigest() == (
+                "6b84b0749a5a15bea1be2f3e28fe3820e5c55f88478c2afb7f3bd1bd9d155f69"
+            )

@@ -431,6 +431,21 @@ class TestBaseline:
                      "--out", str(world["out"])]) == 2
         assert f"{feats}:3: field larger than field limit" in capsys.readouterr().err
 
+    def test_non_finite_feature_cell_is_data_error_naming_it(self, world, tmp_path, capsys):
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        lines = feats.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "nan"  # DipolePolarizability of Nb
+        lines[1] = ",".join(cells)
+        feats.write_text("\n".join(lines) + "\n")
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", "5",
+                     "--out", str(world["out"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{feats}:2: DipolePolarizability must be finite, got nan" in err
+        assert not (world["out"] / "baseline_report.csv").exists()
+
     def test_no_usable_rows_is_data_error_naming_the_inputs(self, tmp_path, capsys):
         # every formula is flagged, so cleaning leaves nothing to featurize
         sc, cod = tmp_path / "sc.csv", tmp_path / "cod.csv"
