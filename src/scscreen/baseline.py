@@ -94,20 +94,22 @@ def write_feature_template(path) -> None:
 
 
 def load_element_features(path) -> dict[str, np.ndarray]:
-    """Read a populated feature CSV into {symbol: 32-vector}.
+    """Read a populated feature CSV (UTF-8, BOM allowed) into {symbol: 32-vector}.
 
     Rows with any blank cell are treated as not yet populated and skipped;
     compositions touching them fail later with MissingElementFeaturesError.
-    A line the csv module cannot read, and a cell that is not a finite
-    number, is a ValueError naming it.
+    A file that is not UTF-8, a line the csv module cannot read, and a cell
+    that is not a finite number, is a ValueError naming it.
     """
     table: dict[str, np.ndarray] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
         except csv.Error as err:
             raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 text: {err}") from None
     if not rows or tuple(rows[0]) != ("symbol",) + FEATURE_NAMES:
         raise ValueError(f"{path}: header does not match the 32 feature names")
     for lineno, row in enumerate(rows[1:], start=2):

@@ -103,16 +103,16 @@ def make_record(
 
 
 def ingest_csv(path, source: Source) -> IngestReport:
-    """Read a formula/tc_K/year CSV into records.
+    """Read a formula/tc_K/year CSV (UTF-8, BOM allowed) into records.
 
     Empty tc_K or year cells become None. A missing `formula` column is a
     schema error; so are unparseable numeric cells, a negative or non-finite
-    tc_K, and a line the csv module cannot read (bad data should fail
-    loudly, bad formulas get flagged per row).
+    tc_K, a line the csv module cannot read and a file that is not UTF-8
+    (bad data should fail loudly, bad formulas get flagged per row).
     """
     records: list[MaterialRecord] = []
     n_rows = n_flagged = 0
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         try:
             if reader.fieldnames is None or "formula" not in reader.fieldnames:
@@ -136,6 +136,8 @@ def ingest_csv(path, source: Source) -> IngestReport:
         except csv.Error as err:
             # DictReader's own line_num stops at the last row it returned
             raise SchemaMismatchError(f"{path}:{reader.reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise SchemaMismatchError(f"{path}: not UTF-8 text: {err}") from None
     return IngestReport(records, n_rows, n_rows - n_flagged, n_flagged)
 
 

@@ -12,3 +12,11 @@ class LengthMismatchError(ValueError):
 
 class UnknownFieldError(ValueError):
     pass
+
+
+class UnknownValueError(ValueError):
+    """A name that is no member of the enum a config value takes."""
+
+    def __init__(self, path: str, value, enum_cls):
+        known = ", ".join(m.name for m in enum_cls)
+        super().__init__(f"{path}: unknown value {value!r} (known: {known})")

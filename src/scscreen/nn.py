@@ -38,34 +38,39 @@ Scratch arrays come from a workspace dict that lives for one call (one
 the call returns; no view into it ever escapes the call. `forward` and
 `predict` take their rows _INFER_ROWS at a time and forward each chunk's
 cells as a full _INFER_ROWS-row batch on one workspace (a short last chunk
-fills up with empty rows). So their peak memory does not grow with the
-number of rows, and every GEMM has one shape, which makes a row's
-prediction independent of how many rows the call has.
+fills up with empty rows). So their scratch memory does not grow with
+the number of rows (only `predict`'s encoded rows do, at about k × 12 B
+each), and every GEMM has one shape, which makes a row's prediction
+independent of how many rows the call has.
 
 `encode_rows` turns compositions into `EncodedRows`: each row's nonzero
 cells (index and value) in two (n, k) arrays, about k × 12 B per row for k
 elements in float32 instead of a dense row's 3,584 B. `train` and
 `predict` take such rows in place of compositions, with the same bits, so
 an experiment that trains many models on overlapping rows encodes each row
-once; `take(idx)` selects rows. `train` encodes compositions at entry and
-hands each batch's cells to the first layer, so no dense batch is ever
-built; `predict` encodes compositions one chunk at a time.
+once; `take(idx)` selects rows. `train` and `predict` encode compositions
+at entry and then take the same path as for encoded rows: each batch's
+cells go straight to the first layer, so no dense batch is ever built.
 
 `config_echo` and `config_from_dict` are the one JSON form of the config
 dataclasses, shared by experiment specs, manifests and checkpoints.
+`_read` takes each field's JSON type from its annotation; a mismatch is a
+ValueError "`experiment.model.conv_layers: expected integer, got string
+'2'`", and `__post_init__` checks ranges (finite rates, seeds >= 0).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import LengthMismatchError, ShapeMismatchError, UnknownFieldError
+from .errors import LengthMismatchError, ShapeMismatchError, UnknownFieldError, UnknownValueError
 from .ptable import TENSOR_SHAPE, TENSOR_SIZE, encode_ptable_batch
 
 H_GRID, W_GRID = 7, 32
@@ -138,6 +143,8 @@ class ModelConfig:
             raise ValueError(f"head must be a Head, got {self.head!r}")
         if not isinstance(self.tc_transform, TcTransform):
             raise ValueError(f"tc_transform must be a TcTransform, got {self.tc_transform!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
@@ -155,14 +162,16 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not isinstance(self.loss, Loss):
             raise ValueError(f"loss must be a Loss, got {self.loss!r}")
+        if self.shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
 
 def config_echo(cfg) -> dict:
@@ -178,28 +187,62 @@ def config_echo(cfg) -> dict:
 def config_from_dict(cls, data: Mapping, what: str):
     """Build config dataclass `cls` from a JSON-shaped mapping.
 
-    Unknown keys raise UnknownFieldError. An enum field (one whose default
-    is an enum member) reads a member name in any case. Absent fields keep
-    their defaults. `what` names the config in error messages.
+    Each init field is read by `_read` against its annotation. Unknown
+    keys, and absent fields that have no default, raise UnknownFieldError;
+    absent fields with a default keep it. `what` is the dotted path of the
+    config in error messages.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    if not isinstance(data, Mapping):
+        raise _mismatch(what, "object", data)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    names = [f.name for f in fields]
+    unknown = set(data) - set(names)
     if unknown:
-        raise UnknownFieldError(
-            f"unknown {what} field(s) {sorted(unknown)}; known: {sorted(fields)}"
-        )
-    kwargs = dict(data)
-    for key, value in data.items():
-        enum_cls = type(fields[key].default)
-        if issubclass(enum_cls, Enum):
-            try:
-                kwargs[key] = enum_cls[str(value).upper()]
-            except KeyError:
-                raise ValueError(
-                    f"{what}.{key}: unknown value {value!r} "
-                    f"(known: {', '.join(e.name for e in enum_cls)})"
-                ) from None
-    return cls(**kwargs)
+        raise UnknownFieldError(f"unknown {what} field(s) {sorted(unknown)}; known: {names}")
+    missing = [f.name for f in fields
+               if f.name not in data and f.default is f.default_factory is MISSING]
+    if missing:
+        raise UnknownFieldError(f"{what} needs field(s) {missing}")
+    hints = get_type_hints(cls)
+    return cls(**{k: _read(hints[k], v, f"{what}.{k}") for k, v in data.items()})
+
+
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "list", dict: "object"}
+
+
+def _mismatch(path: str, want: str, value) -> ValueError:
+    got = f"{_JSON_KINDS.get(type(value), type(value).__name__)} {value!r}"
+    return ValueError(f"{path}: expected {want}, got {'null' if value is None else got}")
+
+
+def _read(tp, value, path: str):
+    """JSON `value` read as field type `tp`: an int that is not a bool, a
+    float that also takes an int, a str, an enum member's name in any case,
+    a config dataclass from an object, a tuple[X, ...] or frozenset[X] from
+    a list, and null for `X | None`. A mismatch is a ValueError naming `path`."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _read(tp, value, path)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise _mismatch(path, "list", value)
+        return origin(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        return config_from_dict(tp, value, path)
+    if issubclass(tp, Enum):
+        if not isinstance(value, str) or value.upper() not in tp.__members__:
+            raise UnknownValueError(path, value, tp)
+        return tp[value.upper()]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
+        raise _mismatch(path, _JSON_KINDS[tp], value)
+    try:
+        return float(value) if tp is float else value
+    except OverflowError:  # an integer past the float range
+        raise _mismatch(path, "finite number", value) from None
 
 
 @dataclass
@@ -791,22 +834,17 @@ def predict(
     """Predicted Tc in kelvin (REGRESSION, clamped at 0) or positive-class
     probability (BINARY_LOGIT) for each composition, or each row of
     `encode_rows` output; both forms give the same bits. Compositions are
-    encoded one inference chunk at a time."""
+    encoded by `encode_rows` first, so both take one path."""
     n = len(compositions)
     if n == 0:
         return np.zeros(0)
     dt = params.config.np_dtype
-    if isinstance(compositions, EncodedRows):
-        rows = compositions
+    encoded = isinstance(compositions, EncodedRows)
+    rows = compositions if encoded else encode_rows(compositions, dt)
 
-        def chunk(lo, hi):
-            flat, vals = _batch_entries(rows.cells, rows.values, np.arange(lo, hi))
-            return flat, vals.astype(dt, copy=False)
-    else:
-        comps = list(compositions)
-
-        def chunk(lo, hi):
-            return _entries(encode_ptable_batch(comps[lo:hi]), dt)
+    def chunk(lo, hi):
+        flat, vals = _batch_entries(rows.cells, rows.values, np.arange(lo, hi))
+        return flat, vals.astype(dt, copy=False)
 
     raw = _forward_chunks(params, n, chunk).astype(np.float64)
     if params.config.head is Head.REGRESSION:

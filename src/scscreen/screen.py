@@ -40,7 +40,7 @@ from .dataset import (
     rotating_folds,
     write_csv,
 )
-from .errors import UnknownFieldError
+from .errors import UnknownValueError
 from .formula import FormulaError, parse_composition
 from .metrics import (
     EvalReport,
@@ -67,20 +67,8 @@ class LeakageError(RuntimeError):
     """A test composition showed up in the training set."""
 
 
-class UnknownFamilyError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # declarative training filter
-
-
-def _family(name: str) -> FamilyLabel:
-    try:
-        return FamilyLabel[str(name).upper()]
-    except KeyError:
-        known = ", ".join(f.name for f in FamilyLabel)
-        raise UnknownFamilyError(f"unknown family {name!r} (known: {known})") from None
 
 
 @dataclass(frozen=True)
@@ -146,31 +134,9 @@ class TrainingFilter:
         return out
 
 
-_FILTER_FIELDS = tuple(f.name for f in dataclasses.fields(TrainingFilter) if f.init)
-
-
 def build_training_filter(fragment: Mapping) -> TrainingFilter:
-    """Build a TrainingFilter from a JSON-shaped mapping.
-
-    Recognized keys: year_before (int), families (list of family names),
-    exclude_families (list of family names), remove (list of formulas).
-    Anything else is a config typo and raises UnknownFieldError.
-    """
-    unknown = set(fragment) - set(_FILTER_FIELDS)
-    if unknown:
-        raise UnknownFieldError(
-            f"unknown training_filter field(s) {sorted(unknown)}; "
-            f"known: {list(_FILTER_FIELDS)}"
-        )
-    year_before = fragment.get("year_before")
-    if year_before is not None:
-        year_before = int(year_before)
-    families = fragment.get("families")
-    if families is not None:
-        families = frozenset(_family(f) for f in families)
-    exclude = frozenset(_family(f) for f in fragment.get("exclude_families", ()))
-    remove = tuple(str(f) for f in fragment.get("remove", ()))
-    return TrainingFilter(year_before, families, exclude, remove)
+    """Build a TrainingFilter from a JSON-shaped mapping by `config_from_dict`."""
+    return config_from_dict(TrainingFilter, fragment, "training_filter")
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +164,8 @@ class ExperimentSpec:
         ths = tuple(float(t) for t in self.thresholds)
         if not ths:
             raise ValueError("need at least one threshold")
-        if any(t < 0 for t in ths) or list(ths) != sorted(ths):
-            raise ValueError(f"thresholds must be non-negative and ascending, got {ths}")
+        if not all(0 <= t < np.inf for t in ths) or list(ths) != sorted(ths):
+            raise ValueError(f"thresholds must be finite, >= 0 and ascending, got {ths}")
         object.__setattr__(self, "thresholds", ths)
         if self.fold_size is not None and self.fold_size < 1:
             raise ValueError(f"fold_size must be >= 1, got {self.fold_size}")
@@ -215,40 +181,19 @@ class ExperimentSpec:
         }
 
 
-# how spec_from_dict reads each field that is not taken as it stands
-_SPEC_READERS = {
-    "name": str,
-    "training_filter": build_training_filter,
-    "test_set": str,
-    "model": lambda d: config_from_dict(ModelConfig, d, "model"),
-    "train": lambda d: config_from_dict(TrainConfig, d, "train"),
-    "repeats": int,
-    "thresholds": tuple,
-}
-
-
 def spec_from_dict(data: Mapping) -> ExperimentSpec:
-    known = [f.name for f in dataclasses.fields(ExperimentSpec)]
-    unknown = set(data) - set(known)
-    if unknown:
-        raise UnknownFieldError(
-            f"unknown experiment field(s) {sorted(unknown)}; known: {known}"
-        )
-    if "name" not in data:
-        raise UnknownFieldError("experiment config needs a 'name'")
-    return ExperimentSpec(
-        **{k: _SPEC_READERS[k](v) if k in _SPEC_READERS else v for k, v in data.items()}
-    )
+    """Build an ExperimentSpec from a JSON-shaped mapping by `config_from_dict`."""
+    return config_from_dict(ExperimentSpec, data, "experiment")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 text: {err}") from None
     return spec_from_dict(data)
 
 
@@ -538,7 +483,10 @@ def run_family_discovery(
     `run_temporal_eval` drops them from its list; a list that leaves no row
     to score is an EmptyDatasetError, never a silently skipped check.
     """
-    target = _family(spec.test_set)
+    try:
+        target = FamilyLabel[spec.test_set.upper()]
+    except KeyError:
+        raise UnknownValueError("experiment.test_set", spec.test_set, FamilyLabel) from None
     test_rows = [
         r
         for r in _trainable(sc_data)

@@ -1,6 +1,7 @@
 """Feature aggregation arithmetic and forest behavior."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ class TestFeatureCsv:
         path = tmp_path / "bad.csv"
         path.write_text("symbol,Weight\nNb,1\n")
         with pytest.raises(ValueError):
+            load_element_features(path)
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "features.csv"
+        header = "symbol," + ",".join(FEATURE_NAMES)
+        path.write_bytes(("\ufeff" + header + "\nNb," + ",".join(["1"] * 32) + "\n").encode())
+        assert set(load_element_features(path)) == {"Nb"}
+
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(("symbol," + ",".join(FEATURE_NAMES) + "\n").encode() + b"\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
             load_element_features(path)
 
     def test_unknown_symbol_rejected(self, tmp_path):

@@ -191,6 +191,19 @@ class TestDatasetBuild:
         err = capsys.readouterr().err
         assert f"{big}:3: field larger than field limit" in err
 
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # the BOM used to glue onto the header: "need a 'formula' column, got ['\ufeffformula', ...]"
+        sc = tmp_path / "sc.csv"
+        sc.write_bytes(b"\xef\xbb\xbfformula,tc_K,year\r\nNb3Sn,18.1,1954\r\n")
+        assert main(["dataset-build", "--sc", str(sc), "--out", str(tmp_path / "out")]) == 0
+        assert "sc: 1 rows, 0 flagged" in capsys.readouterr().out
+
+    def test_non_utf8_file_is_data_error_naming_it(self, tmp_path, capsys):
+        sc = tmp_path / "sc.csv"
+        sc.write_bytes(b"formula,tc_K,year\nNb3Sn,18.1,1954\n\xff\n")
+        assert main(["dataset-build", "--sc", str(sc), "--out", str(tmp_path / "out")]) == 2
+        assert f"{sc}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_train_writes_model_and_trace(self, world, tmp_path, capsys):
@@ -246,6 +259,20 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(world["sc"]),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_negative_seed_is_data_error_naming_it(self, world, tmp_path, capsys):
+        # it used to fail inside default_rng without naming the seed
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["train", "--config", cfg, "--data", str(world["sc"]), "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_nan_learning_rate_is_data_error_naming_it(self, world, tmp_path, capsys):
+        # json reads NaN; it used to train to divergence (exit 3)
+        cfg = write_config(tmp_path / "cfg.json", train={**TINY_TRAIN, "learning_rate": float("nan")})
+        assert main(["train", "--config", cfg, "--data", str(world["sc"]),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "learning_rate must be finite and > 0, got nan" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_reports_and_table(self, world, tmp_path, capsys):
@@ -292,6 +319,16 @@ class TestScreen:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["screen", "--config", cfg, "--sc", str(world["sc"]),
                      "--cod", str(world["cod"]), "--out", str(world["out"])]) == 2
+
+    def test_wrongly_typed_config_value_is_data_error_naming_it(self, world, tmp_path, capsys):
+        # a string layer count used to end in a TypeError traceback (exit 1)
+        cfg = write_config(tmp_path / "cfg.json", fold_size=12,
+                           model={**TINY_MODEL, "conv_layers": "2"})
+        assert main(["screen", "--config", cfg, "--sc", str(world["sc"]),
+                     "--cod", str(world["cod"]), "--out", str(world["out"])]) == 2
+        assert "experiment.model.conv_layers: expected integer, got string '2'" in (
+            capsys.readouterr().err
+        )
 
     def test_config_via_environment(self, world, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", fold_size=12)

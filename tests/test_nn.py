@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scscreen import nn
+from scscreen.errors import UnknownValueError
 from scscreen.formula import normalize, parse_composition
 from scscreen.nn import (
     AdamState,
@@ -968,6 +969,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="head"):
             load_checkpoint(path)
 
+    def test_wrongly_typed_header_field_names_it(self, tmp_path):
+        # a string layer count used to reach ModelConfig and fail there with a TypeError
+        params = init_params(tiny_cfg())
+        path = tmp_path / "model.npz"
+        save_checkpoint(params, path)
+        import json
+
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        meta["conv_layers"] = "9"
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ValueError, match="checkpoint.conv_layers: expected integer"):
+            load_checkpoint(path)
+
 
 class TestConfigSchema:
     @pytest.mark.parametrize(
@@ -988,3 +1004,25 @@ class TestConfigSchema:
         assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
         echo = json.loads(json.dumps(config_echo(cfg)))
         assert config_from_dict(type(cfg), echo, "cfg") == cfg
+
+    @pytest.mark.parametrize("value", ["softmax", 1, None])
+    def test_unknown_enum_value_lists_known_names(self, value):
+        with pytest.raises(UnknownValueError, match=r"model\.head: .*REGRESSION, BINARY_LOGIT"):
+            config_from_dict(ModelConfig, {"head": value}, "model")
+
+    @pytest.mark.parametrize(
+        "cls, data, message",
+        [
+            (TrainConfig, {"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+            (TrainConfig, {"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+            (TrainConfig, {"shuffle_seed": -1}, "shuffle_seed must be >= 0"),
+            (ModelConfig, {"seed": -1}, "seed must be >= 0"),
+        ],
+        ids=["lr-nan", "lr-inf", "shuffle-seed", "seed"],
+    )
+    def test_non_finite_rate_and_negative_seed_rejected(self, cls, data, message):
+        # NaN trained to divergence and a negative seed failed inside default_rng
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(cls, data, "cfg")
+        with pytest.raises(ValueError, match=message):
+            cls(**data)

@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from scscreen import nn, screen
 from scscreen.dataset import FamilyLabel, Source, classify_family, garbage_in, make_record
+from scscreen.errors import UnknownFieldError, UnknownValueError
 from scscreen.formula import parse_composition
 from scscreen.metrics import EvalReport
 from scscreen.nn import (
@@ -20,8 +23,6 @@ from scscreen.screen import (
     ExperimentSpec,
     LeakageError,
     TrainingFilter,
-    UnknownFamilyError,
-    UnknownFieldError,
     build_training_filter,
     load_experiment_spec,
     run_candidate_screen,
@@ -34,6 +35,25 @@ from scscreen.screen import (
 )
 
 COLD = ["Al", "Si", "Ge", "Sn", "Pb", "Ga", "In", "Zn"]
+
+# (spec fragment, dotted path its error names): values of the wrong JSON
+# type, each once read into a traceback or a silently different spec
+WRONGLY_TYPED = [
+    ({"model": {"conv_layers": "2"}}, "experiment.model.conv_layers"),
+    ({"train": {"batch_size": "32"}}, "experiment.train.batch_size"),
+    ({"fold_size": "8000"}, "experiment.fold_size"),
+    ({"model": None}, "experiment.model"),
+    ({"thresholds": 5}, "experiment.thresholds"),
+    ({"training_filter": []}, "experiment.training_filter"),
+    ({"thresholds": "045"}, "experiment.thresholds"),
+    ({"repeats": True}, "experiment.repeats"),
+    ({"fold_size": True}, "experiment.fold_size"),
+    ({"train": {"epochs": 1.5}}, "experiment.train.epochs"),
+    ({"training_filter": {"remove": "NbN"}}, "experiment.training_filter.remove"),
+    ({"training_filter": {"year_before": 2008.7}}, "experiment.training_filter.year_before"),
+    ({"name": 5}, "experiment.name"),
+    ({"train": {"learning_rate": 10**400}}, "experiment.train.learning_rate"),
+]
 
 
 def sc_world():
@@ -141,7 +161,7 @@ class TestTrainingFilter:
             build_training_filter({"year_b4": 2008})
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(UnknownFamilyError, match="HEAVY_FERMION"):
+        with pytest.raises(UnknownValueError, match="HEAVY_FERMION"):
             build_training_filter({"families": ["HEAVY_FERMION"]})
 
     def test_bad_removal_formula_rejected(self):
@@ -223,12 +243,49 @@ class TestExperimentSpec:
         with pytest.raises(UnknownFieldError, match="name"):
             spec_from_dict({})
 
+    @pytest.mark.parametrize("fragment, path", WRONGLY_TYPED, ids=[p for _, p in WRONGLY_TYPED])
+    def test_wrongly_typed_value_names_its_field(self, fragment, path):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected")):
+            spec_from_dict({"name": "x", **fragment})
+
+    @pytest.mark.parametrize("thresholds", [[float("nan")], [0, float("inf")]])
+    def test_non_finite_threshold_rejected(self, thresholds):
+        # every count "above NaN" was 0
+        with pytest.raises(ValueError, match="thresholds must be finite, >= 0"):
+            spec_from_dict({"name": "x", "thresholds": thresholds})
+
+    def test_valid_values_read_as_before(self):
+        s = spec_from_dict({"name": "x", "train": {"learning_rate": 1}, "thresholds": [0, 4],
+                            "fold_size": None, "training_filter": {"families": ["fesc"]}})
+        assert s.train.learning_rate == 1.0 and type(s.train.learning_rate) is float
+        assert s.thresholds == (0.0, 4.0)
+        assert s.fold_size is None
+        assert s.training_filter.families == frozenset({FamilyLabel.FESC})
+
+    def test_readme_example_reads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        s = spec_from_dict(json.loads(block))
+        assert s.name == "screen-2026"
+        assert spec_from_dict(s.describe()) == s
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"name": "file-exp", "repeats": 2}))
         s = load_experiment_spec(path)
         assert s.name == "file-exp"
         assert s.repeats == 2
+
+    def test_load_accepts_byte_order_mark(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"name": "bom"}).encode())
+        assert load_experiment_spec(path).name == "bom"
+
+    def test_load_rejects_non_utf8_naming_the_file(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8")):
+            load_experiment_spec(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -552,7 +609,7 @@ class TestFamilyDiscovery:
 
     def test_unknown_target_family(self):
         sc, cod = discovery_world()
-        with pytest.raises(UnknownFamilyError):
+        with pytest.raises(UnknownValueError):
             run_family_discovery(sc, cod, discovery_spec(test_set="NOBLE_GAS"))
 
     def test_counting_rule_depends_on_head(self):
