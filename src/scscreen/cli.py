@@ -110,6 +110,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a whole number of at least 0, got {text!r}")
+    return value
+
+
 def _open_fraction(text: str) -> float:
     try:
         value = float(text)
@@ -402,8 +412,11 @@ def build_parser() -> _Parser:
     def out_flag(p):
         p.add_argument("--out", default=_env("OUT") or ".", help="output directory")
 
-    def seed_flag(p, help_text="override the model seed from the config"):
-        p.add_argument("--seed", type=int, default=_env_int("SEED"), help=help_text)
+    def seed_flag(p):
+        # a negative override reaches the config's own check (exit 2, naming
+        # the seed); a negative SCSCREEN_SEED is a usage error like any other
+        p.add_argument("--seed", type=int, default=_env_int("SEED", _non_negative),
+                       help="override the model seed from the config")
 
     def jobs_flag(p):
         p.add_argument("--jobs", type=_at_least_one, default=_env_int("JOBS", _at_least_one) or 1,
@@ -468,8 +481,8 @@ def build_parser() -> _Parser:
     p.add_argument("--test-fraction", type=_open_fraction, default=0.1, dest="test_fraction")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="Tc above which a row counts as superconducting")
-    seed_flag(p, help_text="forest and split seed")
-    p.set_defaults(seed=_env_int("SEED") or 0)
+    p.add_argument("--seed", type=_non_negative, default=_env_int("SEED", _non_negative) or 0,
+                   help="forest and split seed")
     out_flag(p)
     jobs_flag(p)
 

@@ -49,7 +49,7 @@ class FoldTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaterialRecord:
     """One material row. `composition` is None when the raw formula did not
     yield a concrete composition; `flagged_reason` says why."""
@@ -113,29 +113,34 @@ def ingest_csv(path, source: Source) -> IngestReport:
     records: list[MaterialRecord] = []
     n_rows = n_flagged = 0
     with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.DictReader(f)
+        reader = csv.reader(f)
         try:
-            if reader.fieldnames is None or "formula" not in reader.fieldnames:
-                raise SchemaMismatchError(
-                    f"{path}: need a 'formula' column, got {reader.fieldnames}"
-                )
-            for lineno, row in enumerate(reader, start=2):
+            header = next(reader, None)
+            if header is None or "formula" not in header:
+                raise SchemaMismatchError(f"{path}: need a 'formula' column, got {header}")
+            # cells by column index, read as csv.DictReader would: blank lines
+            # skipped, a repeated name's last column, a short row's missing
+            # cells empty
+            column = {name: i for i, name in enumerate(header)}
+            at = [column.get(name) for name in ("formula", "tc_K", "year")]
+            for row in reader:
+                if not row:
+                    continue
                 n_rows += 1
-                raw = (row.get("formula") or "").strip()
-                tc_text = (row.get("tc_K") or "").strip()
-                year_text = (row.get("year") or "").strip()
+                raw, tc_text, year_text = [
+                    row[i].strip() if i is not None and i < len(row) else "" for i in at
+                ]
                 try:
                     tc = float(tc_text) if tc_text else None
                     year = int(year_text) if year_text else None
                     rec = make_record(raw, tc, year, source)
                 except ValueError as err:
-                    raise SchemaMismatchError(f"{path}:{lineno}: {err}") from None
+                    raise SchemaMismatchError(f"{path}:{n_rows + 1}: {err}") from None
                 if rec.flagged_reason is not None:
                     n_flagged += 1
                 records.append(rec)
         except csv.Error as err:
-            # DictReader's own line_num stops at the last row it returned
-            raise SchemaMismatchError(f"{path}:{reader.reader.line_num}: {err}") from None
+            raise SchemaMismatchError(f"{path}:{reader.line_num}: {err}") from None
         except UnicodeDecodeError as err:
             raise SchemaMismatchError(f"{path}: not UTF-8 text: {err}") from None
     return IngestReport(records, n_rows, n_rows - n_flagged, n_flagged)
@@ -170,33 +175,35 @@ def drop_flagged(records: Iterable[MaterialRecord]) -> list[MaterialRecord]:
 
 
 def dedup_median_tc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
-    """Collapse records sharing a composition (`Composition.key()`) to one
-    representative.
+    """Collapse records sharing a composition (equal `Composition`s, i.e.
+    the same `key()`) to one representative.
 
     Reported Tc values for nominally identical materials scatter, so the
     survivor takes the median Tc (lower-middle order statistic for even
     group sizes) and the earliest report year. Group order follows first
     appearance; records without a composition pass through untouched.
     """
-    groups: dict[tuple, list[MaterialRecord]] = {}
-    order: list[tuple[tuple, MaterialRecord] | MaterialRecord] = []
+    groups: dict[Composition, list[MaterialRecord]] = {}
+    order: list[tuple[Composition, MaterialRecord] | MaterialRecord] = []
     for r in records:
-        if r.composition is None:
+        comp = r.composition
+        if comp is None:
             order.append(r)
             continue
-        key = r.composition.key()
-        if key not in groups:
-            groups[key] = []
-            order.append((key, r))
-        groups[key].append(r)
+        group = groups.get(comp)
+        if group is None:
+            groups[comp] = [r]
+            order.append((comp, r))
+        else:
+            group.append(r)
 
     out: list[MaterialRecord] = []
     for entry in order:
         if isinstance(entry, MaterialRecord):
             out.append(entry)
             continue
-        key, first = entry
-        group = groups[key]
+        comp, first = entry
+        group = groups[comp]
         if len(group) == 1:  # already its own median Tc and earliest year
             out.append(first)
             continue
@@ -232,10 +239,9 @@ def classify_family(composition: Composition) -> FamilyLabel:
     contains Fe together with As, S, Se, or P. CUPRATE wins when both rules
     fire; everything else is CONVENTIONAL.
     """
-    elements = set(composition)
-    if "Cu" in elements and "O" in elements and len(elements) >= 3:
+    if "Cu" in composition and "O" in composition and len(composition) >= 3:
         return FamilyLabel.CUPRATE
-    if "Fe" in elements and elements & _FESC_PARTNERS:
+    if "Fe" in composition and not _FESC_PARTNERS.isdisjoint(composition):
         return FamilyLabel.FESC
     return FamilyLabel.CONVENTIONAL
 
@@ -249,8 +255,8 @@ def remove_overlap(
     rounded copies of the same material are caught. Records without a
     composition never match anything.
     """
-    keys = {r.composition.key() for r in reference if r.composition is not None}
-    return [r for r in primary if r.composition is None or r.composition.key() not in keys]
+    keys = {r.composition for r in reference if r.composition is not None}
+    return [r for r in primary if r.composition is None or r.composition not in keys]
 
 
 def filter_inorganic(records: Iterable[MaterialRecord]) -> list[MaterialRecord]:
@@ -280,7 +286,8 @@ def garbage_in(
     usable = [r for r in cod if r.composition is not None]
     usable = remove_overlap(usable, [*known_sc, *eval_list])
     return [
-        dataclasses.replace(r, tc_kelvin=0.0, source=Source.SYNTHETIC_NEGATIVE)
+        MaterialRecord(r.raw_formula, r.composition, 0.0, r.year, Source.SYNTHETIC_NEGATIVE,
+                       r.flagged_reason)
         for r in usable
     ]
 

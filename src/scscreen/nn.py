@@ -868,6 +868,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]))
+        if not isinstance(meta, dict):
+            raise _mismatch("checkpoint", "object", meta)
         version = meta.pop("format_version", None)
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {version!r}")

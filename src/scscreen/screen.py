@@ -41,7 +41,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import UnknownValueError
-from .formula import FormulaError, parse_composition
+from .formula import Composition, FormulaError, parse_composition
 from .metrics import (
     EvalReport,
     Histogram,
@@ -91,13 +91,13 @@ class TrainingFilter:
     families: frozenset[FamilyLabel] | None = None
     exclude_families: frozenset[FamilyLabel] = frozenset()
     remove: tuple[str, ...] = ()
-    _removals: frozenset[tuple] = field(init=False, repr=False, compare=False)
+    _removals: frozenset[Composition] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         keys = set()
         for f in self.remove:
             try:
-                keys.add(parse_composition(f).key())
+                keys.add(parse_composition(f))
             except FormulaError as err:
                 raise ValueError(f"cannot parse removal target {f!r}: {err}") from err
         object.__setattr__(self, "_removals", frozenset(keys))
@@ -115,7 +115,7 @@ class TrainingFilter:
                 return False
             if fam in self.exclude_families:
                 return False
-        return comp is None or comp.key() not in self._removals
+        return comp is None or comp not in self._removals
 
     def apply(self, records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
         return [r for r in records if self(r)]
@@ -212,12 +212,12 @@ def _encode(records: Sequence[MaterialRecord], spec: ExperimentSpec) -> EncodedR
     return encode_rows([r.composition for r in records], spec.model.np_dtype)
 
 
-def _keys(records: Iterable[MaterialRecord]) -> set[tuple]:
-    return {r.composition.key() for r in records}
+def _keys(records: Iterable[MaterialRecord]) -> set[Composition]:
+    return {r.composition for r in records}
 
 
-def _assert_disjoint(train_keys: set[tuple], rows: Sequence[MaterialRecord], context: str):
-    shared = [r.composition.formula() for r in rows if r.composition.key() in train_keys]
+def _assert_disjoint(train_keys: set[Composition], rows: Sequence[MaterialRecord], context: str):
+    shared = [r.composition.formula() for r in rows if r.composition in train_keys]
     if shared:
         raise LeakageError(
             f"{context}: {len(shared)} test composition(s) also in training, "
@@ -275,7 +275,7 @@ def _run_indexed(tasks: Sequence, fn, jobs: int) -> list:
 # candidate screening over a catalogue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateRow:
     formula: str  # canonical composition string
     predicted_tc_kelvin: float
@@ -297,7 +297,7 @@ def _assert_corpus_disjoint(sc_train: list[MaterialRecord], corpus: list[Materia
     """A corpus row trains every fold but its own and is ranked once, so its
     key may match no training superconductor and no other corpus row. A
     function of its own, so the key sets are freed before any fold trains."""
-    counts = Counter(r.composition.key() for r in corpus)
+    counts = Counter(r.composition for r in corpus)
     train_keys = _keys(sc_train)
     train_keys.update(k for k, n in counts.items() if n > 1)
     _assert_disjoint(train_keys, corpus, "screen")
@@ -345,12 +345,12 @@ def run_candidate_screen(
     rows = [
         CandidateRow(
             formula=corpus[i].composition.formula(),
-            predicted_tc_kelvin=float(p),
+            predicted_tc_kelvin=p,
             fold_id=fold_id,
             family=classify_family(corpus[i].composition),
         )
         for fold_id, ((_, test_idx), preds) in enumerate(zip(folds, per_fold))
-        for i, p in zip(test_idx, preds)
+        for i, p in zip(test_idx, preds.tolist())
     ]
     kept = [
         r for r in rows if r.family not in (FamilyLabel.CUPRATE, FamilyLabel.FESC)

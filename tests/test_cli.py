@@ -338,6 +338,17 @@ class TestScreen:
                      "--cod", str(world["cod"])]) == 0
         assert (world["out"] / "candidates.csv").exists()
 
+    def test_negative_env_seed_is_usage_error_naming_it(self, world, tmp_path, monkeypatch,
+                                                         capsys):
+        # it used to reach the model config and exit 2 as a config error
+        monkeypatch.setenv("SCSCREEN_SEED", "-1")
+        cfg = write_config(tmp_path / "cfg.json", fold_size=10)
+        assert main(["screen", "--config", cfg, "--sc", str(world["sc"]),
+                     "--cod", str(world["cod"]), "--out", str(world["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "environment" in err and "SCSCREEN_SEED" in err
+        assert not world["out"].exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
     def test_jobs_below_one_or_not_whole_is_usage_error(self, world, tmp_path, capsys, jobs):
         # 0 and -3 used to run sequentially without a word
@@ -439,6 +450,23 @@ class TestBaseline:
                      "--features", str(feats), "--trees", trees,
                      "--out", str(world["out"])]) == 1
         assert "--trees" in capsys.readouterr().err
+        assert not world["out"].exists()
+
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    def test_negative_seed_is_usage_error_naming_it(self, world, tmp_path, monkeypatch,
+                                                    capsys, where):
+        # it used to exit 2 with numpy's "expected non-negative integer"
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        argv = ["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                "--features", str(feats), "--trees", "5", "--out", str(world["out"])]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("SCSCREEN_SEED", "-1")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert ("--seed" if where == "flag" else "SCSCREEN_SEED") in err
         assert not world["out"].exists()
 
     @pytest.mark.parametrize("fraction", ["0.99", "0.97"])

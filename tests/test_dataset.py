@@ -1,6 +1,9 @@
 """Cleaning rules, negatives, families, and folds."""
 
+import csv
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -46,6 +49,32 @@ from scscreen.screen import (
 
 def rec(formula, tc=None, year=None, source=Source.SUPERCON):
     return make_record(formula, tc, year, source)
+
+
+def _ingest_outcome(path):
+    try:
+        report = ingest_csv(path, Source.COD)
+    except SchemaMismatchError as err:
+        return str(err)
+    return [(r.raw_formula, r.tc_kelvin, r.year, r.flagged_reason) for r in report.records]
+
+
+def _dict_reader_outcome(path):
+    """What ingest_csv returns for `path`, from cells read by name."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.DictReader(f)
+        if "formula" not in (reader.fieldnames or []):
+            return f"{path}: need a 'formula' column, got {reader.fieldnames}"
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            raw, tc, year = ((row.get(k) or "").strip() for k in ("formula", "tc_K", "year"))
+            try:
+                r = make_record(raw, float(tc) if tc else None, int(year) if year else None,
+                                Source.COD)
+            except ValueError as err:
+                return f"{path}:{lineno}: {err}"
+            out.append((r.raw_formula, r.tc_kelvin, r.year, r.flagged_reason))
+        return out
 
 
 class TestIngest:
@@ -104,6 +133,28 @@ class TestIngest:
         report = ingest_csv(p, Source.COD)
         assert report.n_rows == 3 and report.n_parsed == 1 and report.n_flagged == 2
         assert [r.flagged_reason for r in report.records] == ["FormulaError", "FormulaError", None]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cells_are_read_as_dict_reader_reads_them(self, data):
+        # ingest reads cells by column index; the reference reads them by
+        # name through csv.DictReader: blank lines, short and long rows, a
+        # repeated or missing column and a bad number must all come out alike
+        names = ["formula", "tc_K", "year", "note"]
+        header = data.draw(st.lists(st.sampled_from(names), max_size=5)
+                           .filter(lambda h: "formula" in h))
+        cell = {"formula": st.sampled_from(["Nb3Sn", " MgB2 ", "", "Qq7", "H2O\n", "(Nb"]),
+                "tc_K": st.sampled_from(["", "9.2", " 0 ", "1e1", "x"]),
+                "year": st.sampled_from(["", "2001", " 1986", "19.5"])}
+        other = st.sampled_from(["", "note", "7"])
+        rows = data.draw(st.lists(st.integers(0, len(header) + 2).flatmap(
+            lambda n: st.tuples(*[cell.get(header[i] if i < len(header) else "", other)
+                                  for i in range(n)])), max_size=8))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", newline="") as f:
+                csv.writer(f).writerows([header, *rows])
+            assert _ingest_outcome(path) == _dict_reader_outcome(path)
 
     def test_negative_tc_rejected_at_record_level(self):
         with pytest.raises(ValueError):

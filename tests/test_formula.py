@@ -335,3 +335,144 @@ def test_format_count_matches_numpy_positional():
             else:
                 want = np.format_float_positional(x, unique=True, trim="-")
             assert formula._format_count(x) == want, repr(x)
+
+
+# ---------------------------------------------------------------------------
+# the plain-formula fast path against the full parser
+
+
+def _counts_or_error(parse, raw):
+    try:
+        return list(parse(raw).items())
+    except formula.FormulaError as err:
+        return type(err), str(err)
+
+
+def _composition_or_error(parse, raw):
+    try:
+        c = parse(raw)
+    except ValueError as err:
+        return type(err), str(err)
+    return list(c.items()), c.formula(), c.key()
+
+
+# symbols, case pairs and two-letter non-symbols; counts with and without
+# digits on either side of the point, zero, a subnormal, float-range edges
+# and 400 digits; Unicode digits, separators, groups, signs and variables
+_fast_path_pieces = st.sampled_from(
+    ["Co", "CO", "C", "O", "Fe", "Nb", "Sn", "B", "Xq", "Bq", "Xx",
+     "2", "2.", ".5", "0.25", "3.5", "0", "0.", ".0", "00", ".",
+     "0." + "0" * 310 + "1", "9" * 308, "9" * 309, "1" + "0" * 399,
+     "²", "٣", "１", " ", "\t", "·", "(", ")", "+", "-", "x", "$"]
+)
+# mostly plain runs, so the fast path is taken often, with a separator or
+# other stray piece sometimes appended
+_plain_runs = st.lists(
+    st.tuples(st.sampled_from(["Co", "C", "O", "Fe", "Nb", "Sn", "B", "K", "Ba", "As"]),
+              st.sampled_from(["", "1", "2", "2.", ".5", "0.6", "10", "0", "9" * 400])),
+    min_size=1, max_size=6,
+).map(lambda runs: "".join(s + n for s, n in runs))
+fast_path_shaped = (
+    st.lists(_fast_path_pieces, max_size=10).map("".join)
+    | _plain_runs
+    | st.tuples(_plain_runs, _fast_path_pieces).map("".join)
+)
+
+
+@settings(max_examples=1000)
+@given(fast_path_shaped)
+def test_fast_path_agrees_with_full_parser(raw):
+    full = _counts_or_error(formula._parse_full, raw)
+    fast = formula._plain_counts(raw)
+    if fast is not None:
+        assert list(fast.items()) == full
+    assert _counts_or_error(parse_formula, raw) == full
+    assert _composition_or_error(parse_composition, raw) == _composition_or_error(
+        lambda r: normalize(formula._parse_full(r)), raw
+    )
+
+
+@pytest.mark.parametrize("raw", ["Nb3Sn", "Ba0.6K0.4Fe2As2", "MgB2", "NbNb", "H2.O.5", "CO"])
+def test_plain_formulas_take_the_fast_path(raw):
+    assert formula._plain_counts(raw) == formula._parse_full(raw)
+
+
+@pytest.mark.parametrize(
+    "raw", ["Nb3 Sn", "(NbSn)2", "La2-xSrxCuO4", "Nb0Sn", "Xq2", "Nb²", "Nb3Sn ", "nb3sn",
+            "Nb" + "9" * 309, "Nb" + "9" * 308 + "Nb" + "9" * 308]
+)
+def test_other_formulas_go_to_the_full_parser(raw):
+    assert formula._plain_counts(raw) is None
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [("Nb" + "9" * 308 + "Sn" + "9" * 308, "the sum of the counts overflows in "),
+     ("Nb0." + "0" * 310 + "1Sn" + "9" * 300, "element Nb has non-positive count 0 in 'Nb'")],
+)
+def test_fast_composition_raises_as_normalize(raw, error):
+    with pytest.raises(formula.FormulaError) as fast:
+        parse_composition(raw)
+    with pytest.raises(formula.FormulaError) as full:
+        normalize(formula._parse_full(raw))
+    assert type(fast.value) is type(full.value)
+    assert str(fast.value) == str(full.value)
+    assert str(fast.value).startswith(error)
+
+
+# ---------------------------------------------------------------------------
+# identity: equality and hashing are the key's
+
+
+def _parsed_or_none(raw):
+    try:
+        return parse_composition(raw)
+    except formula.FormulaError:
+        return None
+
+
+_built = st.one_of(
+    counts_strategy.map(normalize),
+    counts_strategy.map(
+        lambda c: Composition({s: v / math.fsum(c.values()) for s, v in c.items()})
+    ),
+    _plain_runs.map(_parsed_or_none).filter(lambda c: c is not None),
+)
+
+
+def _near_copies(c):
+    """Compositions that often share c's key, and sometimes miss it by one
+    rounding step: its canonical formula reparsed, its fractions rescaled,
+    and each fraction nudged by up to 1e-6."""
+    fractions = dict(c.items())
+    return st.one_of(
+        st.just(parse_composition(c.formula())),
+        st.floats(0.1, 50.0).map(lambda k: normalize({s: f * k for s, f in fractions.items()})),
+        st.lists(st.floats(-1e-6, 1e-6), min_size=len(c), max_size=len(c)).map(
+            lambda eps: normalize(
+                {s: max(f + e, 1e-9) for (s, f), e in zip(fractions.items(), eps)}
+            )
+        ),
+    )
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_equality_and_hash_follow_the_key(data):
+    a = data.draw(_built)
+    b = data.draw(_built | _near_copies(a))
+    for c in (a, b):
+        assert hash(c) == hash(c.key())
+    assert (a == b) is (a.key() == b.key())
+    assert (a != b) is (a.key() != b.key())
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=300)
+@given(counts_strategy | st.dictionaries(
+    elements, st.sampled_from([1.0, 1e-20, 3e-5, 1e-4, 0.5, 7.0]), min_size=2, max_size=4))
+def test_formula_prints_each_fraction_by_format_count(counts):
+    c = normalize(counts)
+    if len(c) > 1:
+        assert c.formula() == "".join(s + formula._format_count(f) for s, f in c.items())

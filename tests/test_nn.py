@@ -984,6 +984,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint.conv_layers: expected integer"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("meta", [[1, 2], "model", None])
+    def test_header_that_is_not_an_object_is_value_error(self, tmp_path, meta):
+        # a list header used to fail in meta.pop with a TypeError
+        import json
+
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_params(tiny_cfg()), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(ValueError, match="checkpoint: expected object, got "):
+            load_checkpoint(path)
+
 
 class TestConfigSchema:
     @pytest.mark.parametrize(
