@@ -11,7 +11,7 @@ Run: python3 demos/temporal_eval.py
 
 from scscreen.dataset import Source, make_record
 from scscreen.metrics import report_table_text
-from scscreen.nn import ModelConfig, TcTransform, TrainConfig
+from scscreen.nn import ModelConfig, TcTransform, TrainConfig, config_echo
 from scscreen.screen import ExperimentSpec, build_training_filter, run_temporal_eval
 
 COLD = ["Al", "Si", "Ge", "Sn", "Pb", "Ga", "In", "Zn"]
@@ -50,7 +50,7 @@ def main():
                           shuffle_seed=3),
         thresholds=(0.0, 4.0, 10.0),
     )
-    print(spec.training_filter.describe())
+    print(config_echo(spec.training_filter))
     reports = run_temporal_eval(sc_rows(), cod_rows(), eval_rows(), spec)
     print()
     print(report_table_text(reports))

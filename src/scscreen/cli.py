@@ -50,7 +50,7 @@ from .metrics import (
     write_histogram_csv,
     write_reports_csv,
 )
-from .nn import DivergenceDetectedError, save_checkpoint, train
+from .nn import DivergenceDetectedError, config_echo, save_checkpoint, train
 from .ptable import Block, N_COLS, N_ROWS, encode_ptable
 from .screen import (
     LeakageError,
@@ -219,7 +219,7 @@ def _start_experiment(args, command: str):
     `--eval`."""
     manifest = Manifest(args.out, command, args)
     spec = _load_spec(args)
-    manifest.set_config(spec.describe())
+    manifest.set_config(config_echo(spec))
     sc = _load_sc(args.sc)
     cod = _load_cod(args.cod)
     manifest.add_input("sc", args.sc, sc)
@@ -295,7 +295,7 @@ def _cmd_dataset_build(args) -> int:
 def _cmd_train(args) -> int:
     manifest = Manifest(args.out, "train", args)
     spec = _load_spec(args)
-    manifest.set_config(spec.describe())
+    manifest.set_config(config_echo(spec))
     rows = spec.training_filter.apply(_load_sc(args.data))
     manifest.add_input("data", args.data, rows)
     manifest.flush()

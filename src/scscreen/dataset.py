@@ -183,27 +183,15 @@ def dedup_median_tc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     group sizes) and the earliest report year. Group order follows first
     appearance; records without a composition pass through untouched.
     """
-    groups: dict[Composition, list[MaterialRecord]] = {}
-    order: list[tuple[Composition, MaterialRecord] | MaterialRecord] = []
+    groups: dict[object, list[MaterialRecord]] = {}
     for r in records:
         comp = r.composition
-        if comp is None:
-            order.append(r)
-            continue
-        group = groups.get(comp)
-        if group is None:
-            groups[comp] = [r]
-            order.append((comp, r))
-        else:
-            group.append(r)
+        # a record without a composition is a group of its own
+        groups.setdefault(comp if comp is not None else object(), []).append(r)
 
     out: list[MaterialRecord] = []
-    for entry in order:
-        if isinstance(entry, MaterialRecord):
-            out.append(entry)
-            continue
-        comp, first = entry
-        group = groups[comp]
+    for group in groups.values():
+        first = group[0]
         if len(group) == 1:  # already its own median Tc and earliest year
             out.append(first)
             continue

@@ -410,6 +410,11 @@ class Composition(Mapping):
     def __setattr__(self, name, value):
         raise AttributeError("Composition is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; the hash is recomputed,
+        # since string hashes differ between processes
+        return (Composition, (dict(self._fractions),))
+
     def __getitem__(self, symbol: str) -> float:
         return self._fractions[symbol]
 

@@ -53,7 +53,8 @@ at entry and then take the same path as for encoded rows: each batch's
 cells go straight to the first layer, so no dense batch is ever built.
 
 `config_echo` and `config_from_dict` are the one JSON form of the config
-dataclasses, shared by experiment specs, manifests and checkpoints.
+dataclasses, shared by experiment specs, manifests and checkpoints: each is
+the inverse of the other, nested configs, tuples and frozensets included.
 `_read` takes each field's JSON type from its annotation; a mismatch is a
 ValueError "`experiment.model.conv_layers: expected integer, got string
 '2'`", and `__post_init__` checks ranges (finite rates, seeds >= 0).
@@ -175,13 +176,24 @@ class TrainConfig:
 
 
 def config_echo(cfg) -> dict:
-    """JSON-ready echo of a config dataclass: every field in declaration
-    order, enum members by name."""
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = value.name if isinstance(value, Enum) else value
-    return out
+    """JSON-ready echo of a config dataclass, the inverse of
+    `config_from_dict`: every init field in declaration order, by `_echo`."""
+    return {f.name: _echo(getattr(cfg, f.name)) for f in dataclasses.fields(cfg) if f.init}
+
+
+def _echo(value):
+    """A field value as JSON: a nested config as an object, an enum member
+    by name, a tuple as a list, and a frozenset as a sorted list (a
+    frozenset of enums iterates in a different order in each process)."""
+    if dataclasses.is_dataclass(value):
+        return config_echo(value)
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, frozenset):
+        return sorted(_echo(v) for v in value)
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return value
 
 
 def config_from_dict(cls, data: Mapping, what: str):

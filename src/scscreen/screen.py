@@ -55,7 +55,6 @@ from .nn import (
     Head,
     ModelConfig,
     TrainConfig,
-    config_echo,
     config_from_dict,
     encode_rows,
     predict,
@@ -120,18 +119,6 @@ class TrainingFilter:
     def apply(self, records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
         return [r for r in records if self(r)]
 
-    def describe(self) -> dict:
-        """JSON-ready echo of the filter for manifests."""
-        out: dict = {}
-        if self.year_before is not None:
-            out["year_before"] = self.year_before
-        if self.families is not None:
-            out["families"] = sorted(f.name for f in self.families)
-        if self.exclude_families:
-            out["exclude_families"] = sorted(f.name for f in self.exclude_families)
-        if self.remove:
-            out["remove"] = list(self.remove)
-        return out
 
 
 def build_training_filter(fragment: Mapping) -> TrainingFilter:
@@ -170,15 +157,6 @@ class ExperimentSpec:
         if self.fold_size is not None and self.fold_size < 1:
             raise ValueError(f"fold_size must be >= 1, got {self.fold_size}")
 
-    def describe(self) -> dict:
-        """JSON-ready echo for manifests."""
-        return {
-            **config_echo(self),
-            "training_filter": self.training_filter.describe(),
-            "model": config_echo(self.model),
-            "train": config_echo(self.train),
-            "thresholds": list(self.thresholds),
-        }
 
 
 def spec_from_dict(data: Mapping) -> ExperimentSpec:

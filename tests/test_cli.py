@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from scscreen import cli
 from scscreen.baseline import FEATURE_NAMES, load_element_features
 from scscreen.cli import main
+from scscreen.dataset import Source, make_record
 from scscreen.nn import load_checkpoint
+from scscreen.screen import load_experiment_spec, spec_from_dict
 
 from test_screen import COLD, cod_world, eval_list_rows, sc_world, screen_cod
 
@@ -398,6 +401,32 @@ class TestDiscover:
                      "--out", str(world["out"])]) == 2
         assert "reference list" in capsys.readouterr().err
         assert not (world["out"] / "runs.csv").exists()
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("command", ["evaluate", "screen", "discover", "train"])
+    def test_config_is_the_spec_that_ran(self, world, tmp_path, command):
+        # fed back to the config reader, the echo is the spec with --seed applied
+        fragment = {"training_filter": {"year_before": 2010}, "fold_size": 12}
+        argv = ["--sc", str(world["sc"]), "--cod", str(world["cod"])]
+        if command == "evaluate":
+            argv += ["--eval", str(world["eval"])]
+        elif command == "discover":
+            fesc = tmp_path / "sc_fesc.csv"
+            write_input_csv(fesc, sc_world() + [make_record("FeSe", 8.0, 2008, Source.SUPERCON)])
+            fragment = {"training_filter": {"year_before": 2008}, "test_set": "FESC"}
+            argv = ["--sc", str(fesc), "--cod", str(world["cod"]), "--eval", str(world["eval"])]
+        elif command == "train":
+            argv = ["--data", str(world["sc"])]
+        cfg = write_config(tmp_path / "cfg.json", **fragment)
+        assert main([command, "--config", cfg, *argv, "--seed", "99",
+                     "--out", str(world["out"])]) == 0
+        config = json.loads((world["out"] / "manifest.json").read_text())["config"]
+        spec = load_experiment_spec(cfg)
+        assert spec_from_dict(config) == dataclasses.replace(
+            spec, model=dataclasses.replace(spec.model, seed=99))
+        assert sorted(config["training_filter"]) == [
+            "exclude_families", "families", "remove", "year_before"]
 
 
 def write_features_csv(path, symbols):

@@ -195,6 +195,16 @@ class TestDedup:
         assert len(out) == 2
         assert out[0].flagged_reason is not None
 
+    def test_flagged_twins_stay_apart_and_groups_keep_first_places(self):
+        flagged = rec("Qq", 5.0)
+        rows = [rec("NbN", 10.0), flagged, rec("MgB2", 39.0), rec("Nb1N1", 20.0),
+                rec("Qq", 5.0), rec("MgB2", 30.0), rec("NbN", 30.0)]
+        assert rows[1] == rows[4]
+        out = dedup_median_tc(rows)
+        assert [r.raw_formula for r in out] == ["NbN", "Qq", "MgB2", "Qq"]
+        assert out[1] is flagged and out[3] is rows[4]
+        assert [r.tc_kelvin for r in out] == [20.0, 5.0, 30.0, 5.0]
+
 
 class TestDropMissingTc:
     def test_drops_only_supercon_rows(self):

@@ -1,6 +1,12 @@
 """Parser and normalization tests."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +473,31 @@ def test_equality_and_hash_follow_the_key(data):
     assert (a != b) is (a.key() != b.key())
     if a == b:
         assert hash(a) == hash(b)
+
+
+def test_copy_deepcopy_and_pickle_rebuild_an_equal_composition():
+    c = parse_composition("Ba(Fe0.92Co0.08)2As2")
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and hash(twin) == hash(c)
+        assert list(twin.items()) == list(c.items())
+        assert twin.formula() == c.formula() and twin.key() == c.key()
+    records = [make_record("Nb3Sn", 18.1, 1954, Source.SUPERCON),
+               make_record("Qq", None, None, Source.COD)]
+    assert copy.deepcopy(records) == records
+
+
+def test_unpickled_composition_hashes_in_the_loading_process():
+    # string hashes differ between processes, so the hash must not travel
+    env = dict(os.environ, PYTHONPATH=str(Path(formula.__file__).parents[1]))
+    dump = ("import pickle, sys; from scscreen.formula import parse_composition; "
+            "sys.stdout.buffer.write(pickle.dumps(parse_composition('Nb3Sn')))")
+    load = ("import pickle, sys; from scscreen.formula import parse_composition; "
+            "c = pickle.loads(sys.stdin.buffer.read()); "
+            "assert c in {parse_composition('Nb3Sn'), parse_composition('MgB2')}")
+    blob = subprocess.run([sys.executable, "-c", dump], env=dict(env, PYTHONHASHSEED="1"),
+                          capture_output=True, check=True).stdout
+    subprocess.run([sys.executable, "-c", load], env=dict(env, PYTHONHASHSEED="7"),
+                   input=blob, capture_output=True, check=True)
 
 
 @settings(max_examples=300)

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scscreen import nn, screen
 from scscreen.dataset import FamilyLabel, Source, classify_family, garbage_in, make_record
@@ -17,6 +19,7 @@ from scscreen.nn import (
     ModelConfig,
     TcTransform,
     TrainConfig,
+    config_echo,
 )
 from scscreen.screen import (
     CandidateList,
@@ -175,7 +178,7 @@ class TestTrainingFilter:
             "remove": ["LaFePO"],
         }
         f = build_training_filter(frag)
-        assert build_training_filter(f.describe()) == f
+        assert build_training_filter(config_echo(f)) == f
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ class TestExperimentSpec:
         assert s.thresholds == (0.0, 10.0)
         assert s.fold_size == 50
         assert s.training_filter.year_before == 2010
-        assert spec_from_dict(s.describe()) == s
+        assert spec_from_dict(config_echo(s)) == s
 
     def test_from_dict_unknown_keys(self):
         with pytest.raises(UnknownFieldError, match="folds"):
@@ -267,7 +270,7 @@ class TestExperimentSpec:
         (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
         s = spec_from_dict(json.loads(block))
         assert s.name == "screen-2026"
-        assert spec_from_dict(s.describe()) == s
+        assert spec_from_dict(config_echo(s)) == s
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -298,10 +301,70 @@ class TestExperimentSpec:
 
     def test_describe_is_json_ready(self):
         s = spec_from_dict({"name": "x", "training_filter": {"year_before": 2010}})
-        echo = json.loads(json.dumps(s.describe()))
+        echo = json.loads(json.dumps(config_echo(s)))
         assert echo["name"] == "x"
-        assert echo["training_filter"] == {"year_before": 2010}
+        assert echo["training_filter"] == {"year_before": 2010, "families": None,
+                                           "exclude_families": [], "remove": []}
         assert echo["model"]["head"] == "REGRESSION"
+
+
+_ints = st.integers(min_value=0, max_value=2**40)
+_model_configs = st.builds(
+    ModelConfig,
+    conv_layers=st.integers(1, 12),
+    channels_per_layer=st.integers(1, 64),
+    dense_hidden=st.integers(0, 128),
+    head=st.sampled_from(Head),
+    tc_transform=st.sampled_from(TcTransform),
+    seed=_ints,
+    dtype=st.sampled_from(["float32", "float64"]),
+)
+_train_configs = st.builds(
+    TrainConfig,
+    learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    batch_size=st.integers(1, 1024),
+    epochs=_ints,
+    loss=st.sampled_from(Loss),
+    shuffle_seed=_ints,
+)
+_families = st.frozensets(st.sampled_from(FamilyLabel))
+_training_filters = st.builds(
+    TrainingFilter,
+    year_before=st.none() | st.integers(-3000, 3000),
+    families=st.none() | _families,
+    exclude_families=_families,
+    remove=st.lists(st.sampled_from(["LaFePO", "Nb3Sn", "CaBi2", "MgB2", "La1.85Sr0.15CuO4",
+                                     "YBa2Cu3O7", "Ba(Fe0.92Co0.08)2As2"]), max_size=4).map(tuple),
+)
+_specs = st.builds(
+    ExperimentSpec,
+    name=st.text(min_size=1),
+    training_filter=_training_filters,
+    test_set=st.text(),
+    model=_model_configs,
+    train=_train_configs,
+    repeats=st.integers(1, 50),
+    thresholds=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5).map(sorted).map(tuple),
+    fold_size=st.none() | st.integers(1, 10**6),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_model_configs, _train_configs, _training_filters, _specs))
+def test_echo_round_trips_through_json(cfg):
+    # config_echo is the exact inverse of the reader, nested configs included
+    echo = json.loads(json.dumps(config_echo(cfg)))
+    assert nn.config_from_dict(type(cfg), echo, "cfg") == cfg
+
+
+@settings(max_examples=100)
+@given(_families, _families)
+def test_frozensets_echo_as_sorted_names(families, excluded):
+    # a frozenset of enums iterates in a different order in each process
+    echo = config_echo(TrainingFilter(families=families, exclude_families=excluded))
+    assert echo["families"] == sorted(f.name for f in families)
+    assert echo["exclude_families"] == sorted(f.name for f in excluded)
+    assert "_removals" not in echo
 
 
 # ---------------------------------------------------------------------------
