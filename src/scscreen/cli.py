@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -100,34 +101,25 @@ def _env_int(name: str, parse=int) -> int | None:
         raise ValueError(f"{ENV_PREFIX}{name}: {err}") from None
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {text!r}")
-    return value
+def _checked(parse, ok, want: str):
+    """An argparse type: `parse(text)` if that succeeds and passes `ok`,
+    else an error that says what was wanted."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {want}, got {text!r}")
+        return value
+    return check
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"need a whole number of at least 0, got {text!r}")
-    return value
-
-
-def _open_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"need a number strictly between 0 and 1, got {text!r}")
-    return value
+_at_least_one = _checked(int, lambda v: v >= 1, "a whole number of at least 1")
+_non_negative = _checked(int, lambda v: v >= 0, "a whole number of at least 0")
+_open_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+_finite_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf,
+                                "a finite number of at least 0")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +373,8 @@ def _cmd_baseline(args) -> int:
     if labels[train_idx].sum() in (0, len(train_idx)):
         raise ValueError(
             f"--test-fraction {args.test_fraction:g} leaves {len(train_idx)} training "
-            f"and {n_test} test rows; the forest needs training rows of both classes"
+            f"and {n_test} test rows; at --threshold {args.threshold:g} the forest "
+            f"needs training rows of both classes"
         )
     model = train_forest(
         features[train_idx], labels[train_idx], n_trees=args.trees, seed=args.seed, jobs=args.jobs
@@ -479,7 +472,7 @@ def build_parser() -> _Parser:
     p.add_argument("--template", help="write a blank feature table here and exit")
     p.add_argument("--trees", type=_at_least_one, default=100)
     p.add_argument("--test-fraction", type=_open_fraction, default=0.1, dest="test_fraction")
-    p.add_argument("--threshold", type=float, default=0.0,
+    p.add_argument("--threshold", type=_finite_non_negative, default=0.0,
                    help="Tc above which a row counts as superconducting")
     p.add_argument("--seed", type=_non_negative, default=_env_int("SEED", _non_negative) or 0,
                    help="forest and split seed")

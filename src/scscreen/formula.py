@@ -9,7 +9,9 @@ appear between any two tokens):
     term      := number | variable
     number    := digits with an optional decimal point
     variable  := a single alphabetic character that is not part of an
-                 element symbol (e.g. the x in La2-xSrxCuO4)
+                 element symbol (e.g. the x in La2-xSrxCuO4), or a
+                 one-letter element symbol right after a sign (the B in
+                 "H-B"): counts after a sign are stoichiometric
 
 Element symbols are matched greedily: an uppercase letter followed by a
 lowercase letter is first tried as a two-letter symbol, and if that is not
@@ -36,7 +38,7 @@ from collections.abc import Iterator, Mapping
 
 import numpy as np
 
-from .ptable import ATOMIC_NUMBER, SYMBOLS
+from .ptable import ATOMIC_NUMBER
 
 
 class FormulaError(ValueError):
@@ -92,53 +94,44 @@ _RPAREN = "rparen"
 
 def _tokenize(raw: str) -> Iterator[tuple[str, object, int]]:
     """Yield (kind, value, position) triples; raises on unknown characters."""
+    kind = None  # the kind of the token yielded last
     i, n = 0, len(raw)
     while i < n:
         ch = raw[i]
+        end = i + 1
         if ch in _SEPARATORS:
-            i += 1
-        elif ch == "(":
-            yield _LPAREN, "(", i
-            i += 1
+            i = end
+            continue
+        if ch == "(":
+            kind, value = _LPAREN, "("
         elif ch == ")":
-            yield _RPAREN, ")", i
-            i += 1
+            kind, value = _RPAREN, ")"
         elif ch in "+-":
-            yield _SIGN, 1.0 if ch == "+" else -1.0, i
-            i += 1
+            kind, value = _SIGN, 1.0 if ch == "+" else -1.0
         elif ch in _DIGITS or ch == ".":
-            j = i + 1
             seen_dot = ch == "."
-            while j < n and (raw[j] in _DIGITS or (raw[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or raw[j] == "."
-                j += 1
-            text = raw[i:j]
+            while end < n and (raw[end] in _DIGITS or (raw[end] == "." and not seen_dot)):
+                seen_dot = seen_dot or raw[end] == "."
+                end += 1
+            text = raw[i:end]
             if text == ".":
                 raise MalformedSyntaxError(raw, i, "stray decimal point")
-            yield _NUMBER, float(text), i
-            i = j
+            kind, value = _NUMBER, float(text)
         elif ch.isupper():
             two = raw[i : i + 2]
-            if len(two) == 2 and two[1].islower():
-                if two in SYMBOLS:
-                    yield _ELEMENT, two, i
-                    i += 2
-                    continue
-                if ch in SYMBOLS:
-                    yield _ELEMENT, ch, i
-                    i += 1
-                    continue
-                raise UnknownElementError(raw, i, two)
-            if ch in SYMBOLS:
-                yield _ELEMENT, ch, i
-                i += 1
-                continue
-            raise UnknownElementError(raw, i, ch)
+            if len(two) == 2 and two in ATOMIC_NUMBER:
+                kind, value, end = _ELEMENT, two, i + 2
+            elif ch in ATOMIC_NUMBER:
+                # a bare letter after a sign is stoichiometric, never an element
+                kind, value = _VARIABLE if kind == _SIGN else _ELEMENT, ch
+            else:
+                raise UnknownElementError(raw, i, two if two[1:].islower() else ch)
         elif ch.isalpha():
-            yield _VARIABLE, ch, i
-            i += 1
+            kind, value = _VARIABLE, ch
         else:
             raise MalformedSyntaxError(raw, i, f"unexpected character {ch!r}")
+        yield kind, value, i
+        i = end
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +227,7 @@ class _Parser:
             kind, value, at = self.take()
             if kind == _NUMBER:
                 const += sign * value
-            elif kind == _VARIABLE or (kind == _ELEMENT and len(value) == 1):
-                # a bare letter after a sign is stoichiometric, never an element
+            elif kind == _VARIABLE:
                 self.variables.add(value)
             else:
                 raise MalformedSyntaxError(
@@ -313,26 +305,13 @@ def parse_formula(raw: str) -> dict[str, float]:
 def has_unresolved_variables(raw: str) -> bool:
     """True when the string contains a symbolic stoichiometry variable.
 
-    Works lexically so it never raises: malformed strings report whether a
-    variable token appears anywhere in them.
+    Works lexically so it never raises: a malformed string reports whether
+    a variable appears in the prefix that tokenizes cleanly.
     """
-    tokens = []
-    gen = _tokenize(raw)
-    while True:
-        try:
-            tokens.append(next(gen))
-        except StopIteration:
-            break
-        except FormulaError:
-            break  # scan whatever prefix tokenized cleanly
-    prev_kind = None
-    for kind, value, _ in tokens:
-        if kind == _VARIABLE:
-            return True
-        if kind == _ELEMENT and len(value) == 1 and prev_kind == _SIGN:
-            return True
-        prev_kind = kind
-    return False
+    try:
+        return any(kind == _VARIABLE for kind, _, _ in _tokenize(raw))
+    except FormulaError:
+        return False
 
 
 def _format_count(value: float) -> str:
@@ -382,7 +361,7 @@ class Composition(Mapping):
     @classmethod
     def _from_counts(cls, counts: dict[str, float]) -> Composition:
         """normalize() for counts that are already known symbols, each
-        finite and > 0 (what `_plain_counts` returns): only the checks the
+        finite and > 0 (what `parse_formula` returns): only the checks the
         division can still fail are made, with normalize's errors."""
         try:
             total = math.fsum(counts.values())
@@ -489,11 +468,5 @@ def normalize(counts: Mapping[str, float]) -> Composition:
 
 
 def parse_composition(raw: str) -> Composition:
-    """parse_formula followed by normalize; the one-call path used everywhere.
-
-    A plain formula's counts are already checked, so its composition skips
-    the checks `normalize` and `Composition` would repeat."""
-    counts = _plain_counts(raw)
-    if counts is None:
-        return normalize(_parse_full(raw))
-    return Composition._from_counts(counts)
+    """parse_formula followed by normalize; the one-call path used everywhere."""
+    return Composition._from_counts(parse_formula(raw))

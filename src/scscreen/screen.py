@@ -184,6 +184,26 @@ def _trainable(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
     return [r for r in records if r.composition is not None and r.tc_kelvin is not None]
 
 
+def _check_scored(rows: Sequence[MaterialRecord], name: str) -> None:
+    """A list whose every row is scored must not be empty, and each row
+    needs a composition and a Tc: a row that cannot be scored is an error,
+    never silently dropped."""
+    if not rows:
+        raise EmptyDatasetError(f"{name} is empty")
+    bad = [r for r in rows if r.composition is None]
+    if bad:
+        raise ValueError(
+            f"{name} has {len(bad)} non-numeric formula(s), "
+            f"e.g. {bad[0].raw_formula!r}; substitute variables first"
+        )
+    missing = [r for r in rows if r.tc_kelvin is None]
+    if missing:
+        raise ValueError(
+            f"{name} has {len(missing)} row(s) without a known Tc, "
+            f"e.g. {missing[0].raw_formula!r}"
+        )
+
+
 def _encode(records: Sequence[MaterialRecord], spec: ExperimentSpec) -> EncodedRows:
     """The records' compositions, encoded once in the model's dtype for
     every model of the experiment to share (threads only read them)."""
@@ -381,20 +401,7 @@ def run_temporal_eval(
     """
     if spec.training_filter.year_before is None:
         raise ValueError("temporal evaluation needs training_filter.year_before")
-    if not eval_list:
-        raise EmptyDatasetError("evaluation list is empty")
-    bad = [r for r in eval_list if r.composition is None]
-    if bad:
-        raise ValueError(
-            f"evaluation list has {len(bad)} non-numeric formula(s), "
-            f"e.g. {bad[0].raw_formula!r}; substitute variables first"
-        )
-    missing = [r for r in eval_list if r.tc_kelvin is None]
-    if missing:
-        raise ValueError(
-            f"evaluation list has {len(missing)} row(s) without a known Tc, "
-            f"e.g. {missing[0].raw_formula!r}"
-        )
+    _check_scored(eval_list, "evaluation list")
     train_rows, (eval_rows,) = _hold_out(
         _training_sc(sc_data, spec), cod_data, spec, [eval_list], "temporal eval"
     )
@@ -458,13 +465,17 @@ def run_family_discovery(
     also predicts it and is flagged invalid if its precision at the lowest
     configured threshold fails to beat always-guessing-positive. Reference
     rows that match a training row are dropped from that check, as
-    `run_temporal_eval` drops them from its list; a list that leaves no row
-    to score is an EmptyDatasetError, never a silently skipped check.
+    `run_temporal_eval` drops them from its list, and the list is held to
+    the same rule: an empty list, or one that leaves no row to score, is an
+    EmptyDatasetError, and a row without a composition or a Tc a ValueError,
+    never a silently skipped check.
     """
     try:
         target = FamilyLabel[spec.test_set.upper()]
     except KeyError:
         raise UnknownValueError("experiment.test_set", spec.test_set, FamilyLabel) from None
+    if eval_list is not None:
+        _check_scored(eval_list, "reference list")
     test_rows = [
         r
         for r in _trainable(sc_data)
@@ -482,7 +493,7 @@ def run_family_discovery(
             f"after filtering, e.g. {leaked[0].raw_formula!r}"
         )
     train_rows, (test_rows, eval_rows) = _hold_out(
-        sc_train, cod_data, spec, [test_rows, _trainable(eval_list or ())],
+        sc_train, cod_data, spec, [test_rows, eval_list or []],
         f"{target.name} discovery",
     )
     if not test_rows:

@@ -403,6 +403,26 @@ class TestDiscover:
         assert not (world["out"] / "runs.csv").exists()
 
 
+    @pytest.mark.parametrize("command, name", [("evaluate", "evaluation list"),
+                                               ("discover", "reference list")])
+    def test_unscorable_reference_rows_are_data_error(self, world, tmp_path, capsys,
+                                                      command, name):
+        # discover used to drop the variable formula and the row without a
+        # Tc, and check validity on the one row left
+        fesc = tmp_path / "sc_fesc.csv"
+        from scscreen.dataset import Source, make_record
+        write_input_csv(fesc, sc_world() + [make_record("FeSe", 8.0, 2008, Source.SUPERCON)])
+        ref = tmp_path / "ref.csv"
+        ref.write_text("formula,tc_K,year\nCaBi2,2,2016\nLa2-xSrxCuO4,30,1986\nSnO,,\n")
+        cfg = write_config(tmp_path / "cfg.json",
+                           training_filter={"year_before": 2008}, test_set="FESC")
+        assert main([command, "--config", cfg, "--sc", str(fesc),
+                     "--cod", str(world["cod"]), "--eval", str(ref),
+                     "--out", str(world["out"])]) == 2
+        assert (f"{name} has 1 non-numeric formula(s), e.g. 'La2-xSrxCuO4'; "
+                "substitute variables first") in capsys.readouterr().err
+
+
 class TestManifestConfig:
     @pytest.mark.parametrize("command", ["evaluate", "screen", "discover", "train"])
     def test_config_is_the_spec_that_ran(self, world, tmp_path, command):
@@ -513,6 +533,29 @@ class TestBaseline:
         n_train = {"0.99": 1, "0.97": 2}[fraction]
         assert f"--test-fraction {fraction} leaves {n_train} training and " in err
         assert f"and {68 - n_train} test rows" in err
+        assert not (world["out"] / "baseline_report.csv").exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+    def test_threshold_negative_or_not_finite_is_usage_error(self, world, tmp_path, capsys,
+                                                             threshold):
+        # these used to exit 2 with a message that named only --test-fraction
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", "5",
+                     "--threshold", threshold, "--out", str(world["out"])]) == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not world["out"].exists()
+
+    def test_threshold_leaving_one_class_is_data_error_naming_it(self, world, tmp_path,
+                                                                 capsys):
+        # no row is above 1e9 K, so every training label is negative
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"])
+        assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                     "--features", str(feats), "--trees", "5",
+                     "--threshold", "1e9", "--out", str(world["out"])]) == 2
+        assert "at --threshold 1e+09 the forest needs" in capsys.readouterr().err
         assert not (world["out"] / "baseline_report.csv").exists()
 
     def test_unreadable_feature_line_is_data_error_naming_it(self, world, tmp_path, capsys):

@@ -179,6 +179,13 @@ class TestVariables:
         assert has_unresolved_variables("H2-x(((")
         assert not has_unresolved_variables("")
 
+    @pytest.mark.parametrize(
+        "raw, expected", [("H-B", True), ("+B", True), ("H-Bx", True), ("H-Ba", False)]
+    )
+    def test_one_letter_symbol_after_a_sign_is_a_variable(self, raw, expected):
+        # a two-letter symbol after a sign stays an element (and fails to parse)
+        assert has_unresolved_variables(raw) is expected
+
 
 class TestNormalize:
     def test_h2he3(self):
@@ -396,6 +403,39 @@ def test_fast_path_agrees_with_full_parser(raw):
     assert _composition_or_error(parse_composition, raw) == _composition_or_error(
         lambda r: normalize(formula._parse_full(r)), raw
     )
+
+
+# what only the full parser reads: groups, separators, signs, variables,
+# one-letter symbols after a sign ("H-B"), and counts that overflow or
+# underflow once summed or divided
+_full_path_pieces = st.sampled_from(
+    ["Nb", "Sn", "B", "H", "Ba", "Bx", "O", "(", ")", " ", "·", "+", "-", "x",
+     "2", "0.5", "3.", "0", "9" * 308, "1" + "0" * 400, "0." + "0" * 310 + "1"]
+)
+full_path_shaped = st.lists(_full_path_pieces, min_size=1, max_size=12).map("".join)
+
+
+@settings(max_examples=1000)
+@given(full_path_shaped)
+def test_full_path_composition_agrees_with_normalize(raw):
+    assert _composition_or_error(parse_composition, raw) == _composition_or_error(
+        lambda r: normalize(formula._parse_full(r)), raw
+    )
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=30) | formula_shaped | full_path_shaped)
+def test_detection_agrees_with_the_parser(raw):
+    """has_unresolved_variables is True exactly when a string that parses
+    up to its variables is rejected for them."""
+    try:
+        parse_formula(raw)
+    except UnresolvedVariableError:
+        assert has_unresolved_variables(raw)
+    except formula.FormulaError:
+        pass
+    else:
+        assert not has_unresolved_variables(raw)
 
 
 @pytest.mark.parametrize("raw", ["Nb3Sn", "Ba0.6K0.4Fe2As2", "MgB2", "NbNb", "H2.O.5", "CO"])

@@ -652,6 +652,24 @@ class TestFamilyDiscovery:
         with pytest.raises(EmptyDatasetError, match="reference list"):
             run_family_discovery(sc, cod, discovery_spec(), eval_list=ref)
 
+    def test_empty_reference_list_rejected(self):
+        sc, cod = discovery_world()
+        with pytest.raises(EmptyDatasetError, match="^reference list is empty$"):
+            run_family_discovery(sc, cod, discovery_spec(), eval_list=[])
+
+    def test_unresolved_reference_formula_rejected(self):
+        # held to run_temporal_eval's rule, not dropped before the check
+        sc, cod = discovery_world()
+        ref = eval_list_rows() + [rec("LaFeAsO1-xFx", 26.0, 2012, Source.EVAL_LIST)]
+        with pytest.raises(ValueError, match="reference list has 1 non-numeric"):
+            run_family_discovery(sc, cod, discovery_spec(), eval_list=ref)
+
+    def test_reference_row_without_tc_rejected(self):
+        sc, cod = discovery_world()
+        ref = eval_list_rows() + [rec("Ga2Zn8", None, 2012, Source.EVAL_LIST)]
+        with pytest.raises(ValueError, match="reference list has 1 row.* without a known Tc"):
+            run_family_discovery(sc, cod, discovery_spec(), eval_list=ref)
+
     def test_family_exclusion_rule_works_like_year_bound(self):
         sc, cod = discovery_world()
         spec = discovery_spec(
