@@ -74,7 +74,7 @@ AGGREGATOR_NAMES = (
 N_AGGREGATED = len(AGGREGATOR_NAMES) * N_BASIC  # 256
 
 
-class MissingElementFeaturesError(KeyError):
+class MissingElementFeaturesError(ValueError):
     """A composition references an element with no (complete) feature row."""
 
 

@@ -3,13 +3,16 @@
 Every file-producing subcommand works the same way: it creates the output
 directory, writes `manifest.json` there *first* (command echo, seeds,
 input fingerprints, library versions), then computes and writes result
-files next to it. Each result path comes from `Manifest.output`, so the
-finished manifest lists exactly the files the run wrote. Reruns with the
-same inputs and seeds reproduce result files byte for byte; wall-clock
+files next to it. `train`, `evaluate`, `screen`, `discover` and `baseline`
+all start through `_start`, which also reads the spec and the input
+tables; `inputs` are those tables cleaned as read, before any training
+filter. Each result path comes from `Manifest.output`, so the finished
+manifest lists exactly the files the run wrote. Reruns with the same
+inputs and seeds reproduce result files byte for byte; wall-clock
 timestamps live only in the manifest.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
-divergence. `--config`, `--seed`, `--out`, and `--jobs` can also be set
+Exit codes: 0 success, 1 usage error, 2 data/config error (any ValueError
+or OSError), 3 numerical divergence. `--config`, `--seed`, `--out`, and `--jobs` can also be set
 via the environment as SCSCREEN_CONFIG / SCSCREEN_SEED / SCSCREEN_OUT /
 SCSCREEN_JOBS (a flag on the command line wins).
 """
@@ -28,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .baseline import (
-    MissingElementFeaturesError,
     aggregate_features_batch,
     load_element_features,
     predict_forest,
@@ -54,7 +56,6 @@ from .metrics import (
 from .nn import DivergenceDetectedError, config_echo, save_checkpoint, train
 from .ptable import Block, N_COLS, N_ROWS, encode_ptable
 from .screen import (
-    LeakageError,
     load_experiment_spec,
     run_candidate_screen,
     run_family_discovery,
@@ -158,9 +159,6 @@ class Manifest:
             "fingerprint": dataset_fingerprint(records),
         }
 
-    def set_config(self, echo: dict) -> None:
-        self.data["config"] = echo
-
     def flush(self) -> None:
         """Write to a temporary file beside the manifest, then rename it over
         the manifest, so a crash mid-write leaves the previous one whole."""
@@ -181,15 +179,6 @@ class Manifest:
         self.flush()
 
 
-def _load_spec(args):
-    spec = load_experiment_spec(args.config)
-    if getattr(args, "seed", None) is not None:
-        spec = dataclasses.replace(
-            spec, model=dataclasses.replace(spec.model, seed=args.seed)
-        )
-    return spec
-
-
 def _load_sc(path):
     return clean_sc(ingest_csv(path, Source.SUPERCON).records)
 
@@ -202,26 +191,34 @@ def _load_eval(path):
     return ingest_csv(path, Source.EVAL_LIST).records
 
 
-def _start_experiment(args, command: str):
-    """Shared start of `evaluate`, `screen` and `discover`: output directory,
-    manifest, spec, and the cleaned `--sc`/`--cod` tables (plus `--eval`
-    when the subcommand has one), fingerprinted into the flushed manifest.
+_LOADERS = {"sc": _load_sc, "data": _load_sc, "cod": _load_cod, "eval": _load_eval}
 
-    Returns (manifest, spec, sc, cod, eval_rows); eval_rows is None without
-    `--eval`."""
-    manifest = Manifest(args.out, command, args)
-    spec = _load_spec(args)
-    manifest.set_config(config_echo(spec))
-    sc = _load_sc(args.sc)
-    cod = _load_cod(args.cod)
-    manifest.add_input("sc", args.sc, sc)
-    manifest.add_input("cod", args.cod, cod)
-    eval_rows = None
-    if getattr(args, "eval", None):
-        eval_rows = _load_eval(args.eval)
-        manifest.add_input("eval", args.eval, eval_rows)
+
+def _start(args, *names):
+    """Shared start of `train`, `evaluate`, `screen`, `discover` and
+    `baseline`: output directory and manifest; for a command with
+    `--config`, the spec with any `--seed` applied, echoed into the
+    manifest; then the table behind each named flag, cleaned as read (an
+    unset flag gives None; an empty path is read, and fails, like any
+    other) and fingerprinted into the flushed manifest.
+
+    Returns (manifest, spec or None, [one table per name])."""
+    manifest = Manifest(args.out, args.subcommand, args)
+    spec = None
+    if hasattr(args, "config"):
+        spec = load_experiment_spec(args.config)
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, seed=args.seed))
+        manifest.data["config"] = config_echo(spec)
+    tables = []
+    for name in names:
+        path, rows = getattr(args, name), None
+        if path is not None:
+            rows = _LOADERS[name](path)
+            manifest.add_input(name, path, rows)
+        tables.append(rows)
     manifest.flush()
-    return manifest, spec, sc, cod, eval_rows
+    return manifest, spec, tables
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +282,8 @@ def _cmd_dataset_build(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    manifest = Manifest(args.out, "train", args)
-    spec = _load_spec(args)
-    manifest.set_config(config_echo(spec))
-    rows = spec.training_filter.apply(_load_sc(args.data))
-    manifest.add_input("data", args.data, rows)
-    manifest.flush()
-
+    manifest, spec, (rows,) = _start(args, "data")
+    rows = spec.training_filter.apply(rows)
     samples = [(r.composition, r.tc_kelvin) for r in rows]
     params, trace = train(samples, spec.model, spec.train)
     save_checkpoint(params, manifest.output("model.npz"))
@@ -306,7 +298,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    manifest, spec, sc, cod, eval_rows = _start_experiment(args, "evaluate")
+    manifest, spec, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
     reports = run_temporal_eval(sc, cod, eval_rows, spec)
     write_reports_csv(reports, manifest.output("reports.csv"))
     manifest.finish()
@@ -315,7 +307,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    manifest, spec, sc, cod, _ = _start_experiment(args, "screen")
+    manifest, spec, (sc, cod) = _start(args, "sc", "cod")
     result = run_candidate_screen(sc, cod, spec, jobs=args.jobs)
     write_candidates_csv(result, manifest.output("candidates.csv"))
     write_threshold_counts_csv(result, manifest.output("threshold_counts.csv"))
@@ -330,7 +322,7 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    manifest, spec, sc, cod, eval_rows = _start_experiment(args, "discover")
+    manifest, spec, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
     result = run_family_discovery(sc, cod, spec, eval_list=eval_rows, jobs=args.jobs)
     write_runs_csv(result, manifest.output("runs.csv"))
     write_histogram_csv(result.histogram, manifest.output("histogram.csv"))
@@ -352,13 +344,7 @@ def _cmd_baseline(args) -> int:
     for name in ("sc", "cod", "features"):
         if getattr(args, name) is None:
             raise _UsageError(f"--{name} is required (unless --template is given)")
-    manifest = Manifest(args.out, "baseline", args)
-    sc = _load_sc(args.sc)
-    cod = _load_cod(args.cod)
-    manifest.add_input("sc", args.sc, sc)
-    manifest.add_input("cod", args.cod, cod)
-    manifest.flush()
-
+    manifest, _, (sc, cod) = _start(args, "sc", "cod")
     table = load_element_features(args.features)
     rows = sc + garbage_in(cod, sc)
     if not rows:
@@ -499,7 +485,7 @@ def main(argv=None) -> int:
     except DivergenceDetectedError as err:
         print(f"scscreen: training diverged: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError, LeakageError, MissingElementFeaturesError) as err:
+    except (OSError, ValueError) as err:
         print(f"scscreen: {err}", file=sys.stderr)
         return EXIT_DATA
 

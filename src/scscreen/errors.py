@@ -2,6 +2,10 @@
 `baseline`, `screen`)."""
 
 
+class EmptyDatasetError(ValueError):
+    pass
+
+
 class ShapeMismatchError(ValueError):
     pass
 

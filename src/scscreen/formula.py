@@ -7,7 +7,8 @@ appear between any two tokens):
     item      := element subscript? | "(" item+ ")" subscript?
     subscript := term (sign term)*     e.g. 2, 0.35, x, 8+x, 2-x, 1+x-y
     term      := number | variable
-    number    := digits with an optional decimal point
+    number    := digits with an optional decimal point (no exponent form:
+                 "1e-2" right after a number is a syntax error)
     variable  := a single alphabetic character that is not part of an
                  element symbol (e.g. the x in La2-xSrxCuO4), or a
                  one-letter element symbol right after a sign (the B in
@@ -80,6 +81,7 @@ class EmptyCountsError(FormulaError):
 
 _SEPARATORS = " \t\r\n·"
 _DIGITS = "0123456789"  # ASCII only; unicode "digits" like superscripts are rejected
+_EXPONENT = re.compile(r"[eE][+-]?[0-9]")
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -116,6 +118,8 @@ def _tokenize(raw: str) -> Iterator[tuple[str, object, int]]:
             text = raw[i:end]
             if text == ".":
                 raise MalformedSyntaxError(raw, i, "stray decimal point")
+            if _EXPONENT.match(raw, end):
+                raise MalformedSyntaxError(raw, end, "exponent form (1e-2) is not read")
             kind, value = _NUMBER, float(text)
         elif ch.isupper():
             two = raw[i : i + 2]

@@ -71,7 +71,13 @@ from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_h
 
 import numpy as np
 
-from .errors import LengthMismatchError, ShapeMismatchError, UnknownFieldError, UnknownValueError
+from .errors import (
+    EmptyDatasetError,
+    LengthMismatchError,
+    ShapeMismatchError,
+    UnknownFieldError,
+    UnknownValueError,
+)
 from .ptable import TENSOR_SHAPE, TENSOR_SIZE, encode_ptable_batch
 
 H_GRID, W_GRID = 7, 32
@@ -102,10 +108,6 @@ class LabelOutOfRangeError(ValueError):
 
 
 class NegativeTcError(ValueError):
-    pass
-
-
-class EmptyDatasetError(ValueError):
     pass
 
 

@@ -40,7 +40,7 @@ from .dataset import (
     rotating_folds,
     write_csv,
 )
-from .errors import UnknownValueError
+from .errors import EmptyDatasetError, UnknownValueError
 from .formula import Composition, FormulaError, parse_composition
 from .metrics import (
     EvalReport,
@@ -50,7 +50,6 @@ from .metrics import (
     positive_count_histogram,
 )
 from .nn import (
-    EmptyDatasetError,
     EncodedRows,
     Head,
     ModelConfig,
@@ -62,7 +61,7 @@ from .nn import (
 )
 
 
-class LeakageError(RuntimeError):
+class LeakageError(ValueError):
     """A test composition showed up in the training set."""
 
 

@@ -227,6 +227,7 @@ def _fraction_rule_corpus(n=5000, seed=42):
     return samples
 
 
+@pytest.mark.slow
 def test_c04_default_model_learns_planted_rule():
     samples = _fraction_rule_corpus()
     train_set, held = samples[:4500], samples[4500:]

@@ -441,12 +441,41 @@ class TestManifestConfig:
         cfg = write_config(tmp_path / "cfg.json", **fragment)
         assert main([command, "--config", cfg, *argv, "--seed", "99",
                      "--out", str(world["out"])]) == 0
-        config = json.loads((world["out"] / "manifest.json").read_text())["config"]
+        manifest = json.loads((world["out"] / "manifest.json").read_text())
+        assert manifest["command"] == command
+        config = manifest["config"]
         spec = load_experiment_spec(cfg)
         assert spec_from_dict(config) == dataclasses.replace(
             spec, model=dataclasses.replace(spec.model, seed=99))
         assert sorted(config["training_filter"]) == [
             "exclude_families", "families", "remove", "year_before"]
+
+    def test_train_records_its_input_before_the_filter(self, world, tmp_path):
+        # train used to fingerprint the filtered rows, unlike every other command
+        cfg = write_config(tmp_path / "cfg.json", training_filter={"year_before": 2004},
+                           fold_size=12)
+        manifests = {}
+        for command, flag in (("train", "--data"), ("screen", "--sc")):
+            out = tmp_path / command
+            argv = [flag, str(world["sc"])]
+            if command == "screen":
+                argv += ["--cod", str(world["cod"])]
+            assert main([command, "--config", cfg, *argv, "--out", str(out)]) == 0
+            manifests[command] = json.loads((out / "manifest.json").read_text())
+        train, screen = manifests["train"], manifests["screen"]
+        assert train["inputs"]["data"] == screen["inputs"]["sc"]
+        assert train["inputs"]["data"]["n_records"] == len(sc_world())
+        assert train["config"]["training_filter"]["year_before"] == 2004
+
+    @pytest.mark.parametrize("command", ["evaluate", "screen", "discover"])
+    def test_empty_input_path_is_data_error(self, world, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json", fold_size=12)
+        argv = [command, "--config", cfg, "--sc", "", "--cod", str(world["cod"]),
+                "--out", str(world["out"])]
+        if command == "evaluate":
+            argv += ["--eval", str(world["eval"])]
+        assert main(argv) == 2
+        assert "No such file or directory: ''" in capsys.readouterr().err
 
 
 def write_features_csv(path, symbols):
@@ -477,6 +506,9 @@ class TestBaseline:
             rows = list(csv.reader(f))
         assert len(rows) == 2
         assert rows[0][0] == "threshold_K"
+        manifest = json.loads((world["out"] / "manifest.json").read_text())
+        assert manifest["command"] == "baseline"
+        assert set(manifest["inputs"]) == {"sc", "cod"}
 
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
     def test_test_fraction_outside_open_interval_is_usage_error(self, world, tmp_path,
@@ -607,3 +639,15 @@ class TestBaseline:
         assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
                      "--features", str(feats), "--trees", "5",
                      "--out", str(world["out"])]) == 2
+
+    def test_missing_element_message_is_printed_plain(self, tmp_path, capsys):
+        # the error was a KeyError, so it printed as "scscreen: 'no feature rows for: H, O'"
+        sc, cod = tmp_path / "sc.csv", tmp_path / "cod.csv"
+        sc.write_text("formula,tc_K,year\nNb3Sn,18,\nNbHO2,5,\n")
+        cod.write_text("formula,tc_K,year\nNbSn2,,\n")
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", "Sn"])
+        assert main(["baseline", "--sc", str(sc), "--cod", str(cod),
+                     "--features", str(feats), "--trees", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "scscreen: no feature rows for: H, O\n"

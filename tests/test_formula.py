@@ -186,6 +186,26 @@ class TestVariables:
         # a two-letter symbol after a sign stays an element (and fails to parse)
         assert has_unresolved_variables(raw) is expected
 
+    @pytest.mark.parametrize(
+        "raw, position", [("Nb3Sn1e-2", 6), ("Nb1e5Sn", 3), ("Nb3Sn1E2", 6), ("Nb3E+2", 3),
+                          ("Nb.5e3", 4)]
+    )
+    def test_exponent_after_a_number_is_malformed(self, raw, position):
+        # it used to read as a variable e (or an unknown element E)
+        with pytest.raises(MalformedSyntaxError, match="exponent form") as exc:
+            parse_formula(raw)
+        assert exc.value.position == position
+        assert not has_unresolved_variables(raw)
+        rec = make_record(raw, None, None, Source.COD)
+        assert rec.composition is None and rec.flagged_reason == "MalformedSyntaxError"
+
+    @pytest.mark.parametrize(
+        "raw, reason", [("Nb3Er2", None), ("Nb3Eu", None), ("Nb3Sn2x", "unresolved_variable"),
+                        ("Cu2e", "unresolved_variable"), ("Cu2e+x", "unresolved_variable")]
+    )
+    def test_e_without_exponent_digits_reads_as_before(self, raw, reason):
+        assert make_record(raw, None, None, Source.COD).flagged_reason == reason
+
 
 class TestNormalize:
     def test_h2he3(self):
