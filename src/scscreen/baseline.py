@@ -157,7 +157,9 @@ def aggregate_features_batch(
 
     Rows are aggregated together by element count. An empty composition, a
     missing element or a feature row of the wrong width raises for the
-    first such composition in input order.
+    first such composition in input order. A missing element error names
+    every element, in any of the compositions, that has no feature row:
+    each once, by atomic number.
     """
     slot: dict[str, int] = {}  # symbol -> its row in `vectors`
     vectors: list[np.ndarray] = []
@@ -166,9 +168,10 @@ def aggregate_features_batch(
         if not composition:
             raise ValueError("empty composition")
         symbols = sorted(composition, key=lambda s: ATOMIC_NUMBER.get(s, 0))
-        missing = [s for s in symbols if s not in table]
-        if missing:
-            raise MissingElementFeaturesError(f"no feature rows for: {', '.join(missing)}")
+        if any(s not in table for s in symbols):
+            missing = {s for c in compositions for s in c if s not in table}
+            names = sorted(missing, key=lambda s: (ATOMIC_NUMBER.get(s, 0), s))
+            raise MissingElementFeaturesError(f"no feature rows for: {', '.join(names)}")
         for s in symbols:
             if s not in slot:
                 vec = np.asarray(table[s], dtype=np.float64)

@@ -36,12 +36,15 @@ bias gradients sum through a product with a ones vector, which BLAS runs
 Scratch arrays come from a workspace dict that lives for one call (one
 `forward`, `backward` or `predict`, or one `train` run) and is dropped when
 the call returns; no view into it ever escapes the call. `forward` and
-`predict` take their rows _INFER_ROWS at a time and forward each chunk's
-cells as a full _INFER_ROWS-row batch on one workspace (a short last chunk
-fills up with empty rows). So their scratch memory does not grow with
-the number of rows (only `predict`'s encoded rows do, at about k × 12 B
-each), and every GEMM has one shape, which makes a row's prediction
-independent of how many rows the call has.
+`predict` take their rows in chunks and forward each chunk's cells as a
+full batch on one workspace (a short last chunk fills up with empty rows).
+A chunk has _INFER_ROWS rows, or, for a model with two or more conv
+layers, as many as keep its im2col patch matrix within _PATCH_BYTES (16
+rows at 32 float32 channels); since nothing runs backward, the layers
+write their outputs to two alternating buffers. So their scratch memory
+does not grow with the number of rows (only `predict`'s encoded rows do,
+at about k × 12 B each), and every GEMM has one shape for the model,
+which makes a row's prediction independent of how many rows the call has.
 
 `encode_rows` turns compositions into `EncodedRows`: each row's nonzero
 cells (index and value) in two (n, k) arrays, about k × 12 B per row for k
@@ -83,7 +86,8 @@ from .ptable import TENSOR_SHAPE, TENSOR_SIZE, encode_ptable_batch
 H_GRID, W_GRID = 7, 32
 N_CELLS = H_GRID * W_GRID  # global-average-pool divisor
 KERNEL = 3
-_INFER_ROWS = 32  # rows per inference chunk; TrainConfig's default batch size
+_INFER_ROWS = 32  # rows per inference chunk at most; TrainConfig's default batch size
+_PATCH_BYTES = 4 << 20  # an inference chunk's im2col patch matrix at most, if it has one
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -112,7 +116,8 @@ class NegativeTcError(ValueError):
 
 
 class DivergenceDetectedError(ArithmeticError):
-    """Raised when training hits a non-finite loss; carries the epoch/step."""
+    """Raised when training hits a non-finite loss; carries the epoch/step.
+    Pickles through its constructor arguments, so it crosses processes."""
 
     def __init__(self, epoch: int, step: int, loss: float):
         super().__init__(
@@ -121,6 +126,10 @@ class DivergenceDetectedError(ArithmeticError):
         )
         self.epoch = epoch
         self.step = step
+        self.loss = loss
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.step, self.loss)
 
 
 @dataclass(frozen=True)
@@ -476,12 +485,16 @@ def _check_batch(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(params: ModelParams, entries, n: int, ws: dict):
+def _forward_cached(params: ModelParams, entries, n: int, ws: dict, infer: bool = False):
     """Run the network on n rows given as layer-0 entries, keeping what the
     backward pass needs: layer 0's taps and every conv layer's rectified
     output (n * 224, c_out), which is also the next layer's input and
     gives the rectifier's mask (output > 0). Rows without entries are
-    empty rows: `_forward_chunks` fills a short last chunk with them."""
+    empty rows: `_forward_chunks` fills a short last chunk with them.
+
+    With `infer`, layer i writes its output to workspace buffer i % 2, so
+    only the last two outputs stay valid and no backward pass can read the
+    cache."""
     outs = []
     for i, (w, b) in enumerate(zip(params.conv_w, params.conv_b)):
         c_in, c_out = w.shape[0], w.shape[1]
@@ -493,7 +506,7 @@ def _forward_cached(params: ModelParams, entries, n: int, ws: dict):
         else:
             cols = _im2col(outs[-1].reshape(n, H_GRID, W_GRID, c_in), ws)  # (n*HW, 9*c_in)
             w_flat = w.transpose(2, 3, 0, 1).reshape(KERNEL * KERNEL * c_in, c_out)
-            pre = _ws_buf(ws, ("act", i), (cols.shape[0], c_out), cols.dtype)
+            pre = _ws_buf(ws, ("act", i % 2 if infer else i), (cols.shape[0], c_out), cols.dtype)
             np.matmul(cols, w_flat, out=pre)
             pre += b
         outs.append(np.maximum(pre, 0.0, out=pre))
@@ -510,18 +523,25 @@ def _forward_chunks(
     """Raw head outputs of n rows; `chunk(lo, hi)` returns the layer-0
     entries of rows lo:hi, in the model's dtype, as rows 0 to hi - lo - 1.
 
-    Each chunk's nonzero cells are forwarded as a full _INFER_ROWS-row
-    batch through one workspace, and the first hi - lo outputs are kept; a
-    short last chunk forwards empty rows after its own and drops them. So
-    every GEMM has one shape, and a row's output does not depend on n. Each
-    chunk's cache is dropped at once.
+    Each chunk's nonzero cells are forwarded as a full batch of `rows`
+    rows through one workspace that holds two layer outputs, and the first
+    hi - lo outputs are kept; a short last chunk forwards empty rows after
+    its own and drops them. So every GEMM has one shape for the model, and
+    a row's output does not depend on n. A model with a patch matrix (two
+    or more conv layers) takes as many rows, up to _INFER_ROWS, as keep
+    that matrix within _PATCH_BYTES: 16 at 32 float32 channels.
     """
-    dt = params.config.np_dtype
+    cfg = params.config
+    dt = cfg.np_dtype
+    rows = _INFER_ROWS
+    if cfg.conv_layers > 1:
+        row_bytes = N_CELLS * KERNEL * KERNEL * cfg.channels_per_layer * dt.itemsize
+        rows = min(rows, max(1, _PATCH_BYTES // row_bytes))
     raw = np.empty(n, dtype=dt)
     ws: dict = {}
-    for lo in range(0, n, _INFER_ROWS):
-        hi = min(lo + _INFER_ROWS, n)
-        raw[lo:hi] = _forward_cached(params, chunk(lo, hi), _INFER_ROWS, ws)[0][: hi - lo]
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        raw[lo:hi] = _forward_cached(params, chunk(lo, hi), rows, ws, infer=True)[0][: hi - lo]
     return raw
 
 

@@ -132,6 +132,17 @@ class TestAggregate:
         with pytest.raises(MissingElementFeaturesError):
             aggregate_features(normalize({"Nb": 1.0, "Ti": 1.0}), table_for({"Nb": 1.0}))
 
+    def test_every_missing_element_named_once_by_atomic_number(self):
+        table = table_for({"Nb": 1.0, "Sn": 2.0})
+        comps = [normalize({"Nb": 1.0, "Sn": 3.0}), normalize({"Nb": 1.0, "H": 1.0}),
+                 normalize({"Nb": 1.0, "O": 1.0}), normalize({"H": 2.0, "O": 1.0})]
+        with pytest.raises(MissingElementFeaturesError) as err:
+            aggregate_features_batch(comps, table)
+        assert err.value.args[0] == "no feature rows for: H, O"
+        with pytest.raises(MissingElementFeaturesError) as err:
+            aggregate_features_batch(comps[:2], table)
+        assert err.value.args[0] == "no feature rows for: H"
+
     def test_batch_stacks_rows(self):
         table = table_for({"Nb": 1.0, "Ti": 2.0})
         comps = [normalize({"Nb": 1.0}), normalize({"Ti": 1.0})]

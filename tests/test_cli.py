@@ -651,3 +651,14 @@ class TestBaseline:
                      "--features", str(feats), "--trees", "5",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "scscreen: no feature rows for: H, O\n"
+
+    def test_missing_elements_of_several_rows_named_in_one_error(self, tmp_path, capsys):
+        sc, cod = tmp_path / "sc.csv", tmp_path / "cod.csv"
+        sc.write_text("formula,tc_K,year\nNb3Sn,18,\nNbH,5,\nNbO,4,\n")
+        cod.write_text("formula,tc_K,year\nNbSn2,,\n")
+        feats = tmp_path / "features.csv"
+        write_features_csv(feats, ["Nb", "Sn"])
+        assert main(["baseline", "--sc", str(sc), "--cod", str(cod),
+                     "--features", str(feats), "--trees", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "scscreen: no feature rows for: H, O\n"

@@ -1,5 +1,6 @@
 """Network forward/backward against hand oracles and finite differences."""
 
+import pickle
 import tracemalloc
 from collections import Counter
 
@@ -700,6 +701,14 @@ class TestTrain:
             train(toy_samples(16), cfg, tcfg)
         assert exc.value.epoch >= 0 and exc.value.step >= 0
 
+    def test_divergence_error_survives_pickle(self):
+        # a fold trained in a worker process must reach the parent as itself
+        err = DivergenceDetectedError(3, 7, float("nan"))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceDetectedError
+        assert (str(back), back.epoch, back.step) == (str(err), 3, 7)
+        assert np.isnan(back.loss)
+
     def test_early_stop_callback(self):
         calls = []
 
@@ -800,6 +809,55 @@ class TestPredict:
                 tracemalloc.stop()
         assert peaks[4000] < 32e6, f"{peaks[4000] / 1e6:.1f} MB at 4000 rows"
         assert abs(peaks[4000] - peaks[250]) < 1e6, f"{peaks[250] / 1e6:.1f} MB at 250 rows"
+
+    def test_default_model_peak_memory(self):
+        # chunks of 16 rows and two kept layer outputs: about 6 MB where
+        # 32-row chunks that kept all nine outputs peaked at 18 MB
+        params = init_params(ModelConfig())
+        comps = random_comps(np.random.default_rng(0), 500)
+        tracemalloc.start()
+        try:
+            predict(params, comps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"{peak / 1e6:.1f} MB at 500 rows"
+
+    @staticmethod
+    def _record_forwards(monkeypatch):
+        """(rows, workspace) of every `_forward_cached` call from now on."""
+        calls = []
+        forward_cached = nn._forward_cached
+
+        def recorded(params, entries, n, ws, **kw):
+            calls.append((n, ws))
+            return forward_cached(params, entries, n, ws, **kw)
+
+        monkeypatch.setattr(nn, "_forward_cached", recorded)
+        return calls
+
+    def test_chunk_rows_do_not_change_prediction_bytes(self, monkeypatch):
+        # the default model's chunk rows follow _PATCH_BYTES; every chunk
+        # of one call has one shape, and a row's bits do not depend on it
+        params = init_params(ModelConfig())
+        comps = random_comps(np.random.default_rng(2), 75)
+        calls = self._record_forwards(monkeypatch)
+        patch_row = N_CELLS * 9 * 32 * 4  # float32 patch-matrix bytes per row
+        got = {}
+        for rows in (8, 16, 32):
+            monkeypatch.setattr(nn, "_PATCH_BYTES", rows * patch_row)
+            calls.clear()
+            got[rows] = predict(params, comps).tobytes()
+            assert {n for n, _ in calls} == {rows}
+        assert got[8] == got[16] == got[32]
+
+    def test_inference_workspace_keeps_two_layer_outputs(self, monkeypatch):
+        calls = self._record_forwards(monkeypatch)
+        params = init_params(ModelConfig(conv_layers=9, channels_per_layer=4))
+        predict(params, random_comps(np.random.default_rng(3), 40))
+        for _, ws in calls:
+            acts = [key for key in ws if key[0] == "act"]
+            assert 1 <= len(acts) <= 2, acts
 
     def test_patch_view_allocates_nothing(self):
         # every conv layer of every chunk builds one patch view; a view that
