@@ -11,8 +11,8 @@ only by those two rows.
 Run: python3 demos/family_discovery.py
 """
 
-from scscreen.dataset import Source, make_record
-from scscreen.nn import Head, Loss, ModelConfig, TrainConfig
+from scscreen.dataset import FamilyLabel, Source, make_record
+from scscreen.nn import Head, ModelConfig, TrainConfig
 from scscreen.screen import ExperimentSpec, build_training_filter, run_family_discovery
 
 P_COLD = ["Al", "Si", "Ge", "Sn", "Pb", "Ga", "In"]
@@ -54,11 +54,10 @@ def main():
     spec = ExperimentSpec(
         name="discovery-demo",
         training_filter=build_training_filter({"exclude_families": ["FESC"]}),
-        test_set="FESC",
+        test_set=FamilyLabel.FESC,
         model=ModelConfig(conv_layers=1, channels_per_layer=8, dense_hidden=0,
                           head=Head.BINARY_LOGIT, seed=11),
-        train=TrainConfig(learning_rate=3e-2, batch_size=8, epochs=200,
-                          loss=Loss.BCE_LOGIT, shuffle_seed=2),
+        train=TrainConfig(learning_rate=3e-2, batch_size=8, epochs=200, shuffle_seed=2),
         repeats=10,
     )
     plain_world = measured_rows()

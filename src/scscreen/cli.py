@@ -3,13 +3,14 @@
 Every file-producing subcommand works the same way: it creates the output
 directory, writes `manifest.json` there *first* (command echo, seeds,
 input fingerprints, library versions), then computes and writes result
-files next to it. `train`, `evaluate`, `screen`, `discover` and `baseline`
-all start through `_start`, which also reads the spec and the input
-tables; `inputs` are those tables cleaned as read, before any training
-filter. Each result path comes from `Manifest.output`, so the finished
-manifest lists exactly the files the run wrote. Reruns with the same
-inputs and seeds reproduce result files byte for byte; wall-clock
-timestamps live only in the manifest.
+files next to it, and `main` ends the manifest as "ok", or as "failed"
+with the exit code and the error. `train`, `evaluate`, `screen`,
+`discover` and `baseline` all start through `_start`, which also reads
+the spec and the input tables; `inputs` are those tables cleaned as read,
+before any training filter. Each result path comes from
+`Manifest.output`, so the finished manifest lists exactly the files the
+run wrote. Reruns with the same inputs and seeds reproduce result files
+byte for byte; wall-clock timestamps live only in the manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error (any ValueError
 or OSError), 3 numerical divergence. `--config`, `--seed`, `--out`, and `--jobs` can also be set
@@ -20,6 +21,7 @@ SCSCREEN_JOBS (a flag on the command line wins).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -129,16 +131,17 @@ _finite_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf,
 
 class Manifest:
     """Run record written before any result file (and rewritten as the run
-    learns more), so a failed run still leaves its trace on disk."""
+    learns more), so a failed run still leaves its trace on disk. Kept as
+    `args.manifest`, where `main` finishes it."""
 
-    def __init__(self, out_dir: str, command: str, args: argparse.Namespace):
-        os.makedirs(out_dir, exist_ok=True)
-        self.out_dir = out_dir
-        self.path = os.path.join(out_dir, "manifest.json")
+    def __init__(self, args: argparse.Namespace):
+        os.makedirs(args.out, exist_ok=True)
+        self.out_dir = args.out
+        self.path = os.path.join(args.out, "manifest.json")
         self.outputs: list[str] = []
         echo = {k: v for k, v in vars(args).items() if k != "func"}
         self.data = {
-            "command": command,
+            "command": args.subcommand,
             "invocation": echo,
             "status": "started",
             "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -151,6 +154,7 @@ class Manifest:
             "outputs": [],
         }
         self.flush()
+        args.manifest = self
 
     def add_input(self, name: str, path, records) -> None:
         self.data["inputs"][name] = {
@@ -173,9 +177,8 @@ class Manifest:
         self.outputs.append(name)
         return os.path.join(self.out_dir, name)
 
-    def finish(self) -> None:
-        self.data["outputs"] = sorted(self.outputs)
-        self.data["status"] = "ok"
+    def finish(self, status: str = "ok", **fields) -> None:
+        self.data.update(fields, outputs=sorted(self.outputs), status=status)
         self.flush()
 
 
@@ -203,7 +206,7 @@ def _start(args, *names):
     other) and fingerprinted into the flushed manifest.
 
     Returns (manifest, spec or None, [one table per name])."""
-    manifest = Manifest(args.out, args.subcommand, args)
+    manifest = Manifest(args)
     spec = None
     if hasattr(args, "config"):
         spec = load_experiment_spec(args.config)
@@ -235,7 +238,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    manifest = Manifest(args.out, "encode", args)
+    manifest = Manifest(args)
     tensor = encode_ptable(parse_composition(args.formula))
     path = manifest.output("tensor.csv")
     with open(path, "w") as f:
@@ -245,13 +248,12 @@ def _cmd_encode(args) -> int:
                 for col in range(N_COLS):
                     value = tensor[block.value, row, col]
                     f.write(f"{block.name},{row + 1},{col + 1},{value:.9g}\n")
-    manifest.finish()
     print(path)
     return EXIT_OK
 
 
 def _cmd_dataset_build(args) -> int:
-    manifest = Manifest(args.out, "dataset-build", args)
+    manifest = Manifest(args)
 
     report = ingest_csv(args.sc, Source.SUPERCON)
     sc = clean_sc(report.records)
@@ -262,7 +264,7 @@ def _cmd_dataset_build(args) -> int:
         f"{len(sc)} after cleaning"
     )
 
-    if args.cod:
+    if args.cod is not None:
         report = ingest_csv(args.cod, Source.COD)
         cod = clean_catalogue(report.records)
         manifest.add_input("cod", args.cod, cod)
@@ -271,13 +273,12 @@ def _cmd_dataset_build(args) -> int:
             f"catalogue: {report.n_rows} rows, {report.n_flagged} flagged, "
             f"{len(cod)} after cleaning"
         )
-    if args.eval:
+    if args.eval is not None:
         rows = _load_eval(args.eval)
         manifest.add_input("eval", args.eval, rows)
         write_records_csv(rows, manifest.output("eval_clean.csv"))
         print(f"eval: {len(rows)} rows")
 
-    manifest.finish()
     return EXIT_OK
 
 
@@ -291,7 +292,6 @@ def _cmd_train(args) -> int:
         f.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(trace):
             f.write(f"{epoch},{loss:.9g}\n")
-    manifest.finish()
     final = f"{trace[-1]:.9g}" if trace else "n/a"
     print(f"trained on {len(samples)} samples for {len(trace)} epochs, final loss {final}")
     return EXIT_OK
@@ -301,7 +301,6 @@ def _cmd_evaluate(args) -> int:
     manifest, spec, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
     reports = run_temporal_eval(sc, cod, eval_rows, spec)
     write_reports_csv(reports, manifest.output("reports.csv"))
-    manifest.finish()
     print(report_table_text(reports))
     return EXIT_OK
 
@@ -311,7 +310,6 @@ def _cmd_screen(args) -> int:
     result = run_candidate_screen(sc, cod, spec, jobs=args.jobs)
     write_candidates_csv(result, manifest.output("candidates.csv"))
     write_threshold_counts_csv(result, manifest.output("threshold_counts.csv"))
-    manifest.finish()
     print(
         f"screened {len(result.rows) + result.n_excluded} materials in "
         f"{result.n_folds} folds ({result.n_excluded} known-family rows dropped)"
@@ -326,7 +324,6 @@ def _cmd_discover(args) -> int:
     result = run_family_discovery(sc, cod, spec, eval_list=eval_rows, jobs=args.jobs)
     write_runs_csv(result, manifest.output("runs.csv"))
     write_histogram_csv(result.histogram, manifest.output("histogram.csv"))
-    manifest.finish()
     positives = [r.n_positive for r in result.runs]
     print(
         f"{result.family.name}: {len(result.runs)} runs over {result.n_test} "
@@ -369,7 +366,6 @@ def _cmd_baseline(args) -> int:
     truth = labels[test_idx] == 1
     report = confusion_counts(pred == 1, truth, args.threshold, float(truth.mean()))
     write_reports_csv([report], manifest.output("baseline_report.csv"))
-    manifest.finish()
     print(report_table_text([report], labels=[f"forest @ {args.threshold:g} K"]))
     return EXIT_OK
 
@@ -478,16 +474,29 @@ def main(argv=None) -> int:
         print(f"scscreen: bad environment override: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        if hasattr(args, "manifest"):
+            args.manifest.finish()
+        return code
     except _UsageError as err:
         print(f"scscreen: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceDetectedError as err:
         print(f"scscreen: training diverged: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _failed(args, EXIT_NUMERIC, err, epoch=err.epoch, step=err.step)
     except (OSError, ValueError) as err:
         print(f"scscreen: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return _failed(args, EXIT_DATA, err)
+
+
+def _failed(args, code: int, err: Exception, **where) -> int:
+    """Finish the run's manifest, if one was opened, as failed: the exit
+    code, and the error's class and message (and `where` it happened)."""
+    error = {"class": type(err).__name__, "message": str(err), **where}
+    if hasattr(args, "manifest"):
+        with contextlib.suppress(OSError):  # the output directory itself may be what failed
+            args.manifest.finish("failed", exit_code=code, error=error)
+    return code
 
 
 if __name__ == "__main__":

@@ -170,7 +170,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 32
     epochs: int = 100
-    loss: Loss = Loss.SMOOTH_L1
     shuffle_seed: int = 0
 
     def __post_init__(self):
@@ -180,8 +179,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not isinstance(self.loss, Loss):
-            raise ValueError(f"loss must be a Loss, got {self.loss!r}")
         if self.shuffle_seed < 0:
             raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
@@ -673,6 +670,7 @@ def bce_logit_loss(logits, labels) -> tuple[float, np.ndarray]:
 
 
 _LOSSES = {Loss.SMOOTH_L1: smooth_l1_loss, Loss.BCE_LOGIT: bce_logit_loss}
+_HEAD_LOSS = {Head.REGRESSION: Loss.SMOOTH_L1, Head.BINARY_LOGIT: Loss.BCE_LOGIT}
 
 
 def tc_transform(tc_kelvin, mode: TcTransform):
@@ -727,14 +725,6 @@ def adam_step(
 
 # ---------------------------------------------------------------------------
 # training and prediction
-
-
-def _paired_loss(head: Head, loss: Loss) -> None:
-    ok = (head is Head.REGRESSION and loss is Loss.SMOOTH_L1) or (
-        head is Head.BINARY_LOGIT and loss is Loss.BCE_LOGIT
-    )
-    if not ok:
-        raise ValueError(f"loss {loss.name} does not fit head {head.name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -807,10 +797,12 @@ def train(
     """Fit a model on (composition, tc_kelvin) pairs, or on `encode_rows`
     output with each row's Tc in `tc_kelvin`.
 
-    Regression targets pass through the config's tc transform; for a
-    BINARY_LOGIT head the labels are tc > label_threshold. Fully
-    deterministic given the two seeds (parameter init and epoch shuffling).
-    Returns the trained parameters and the per-epoch mean training loss.
+    The head fixes the loss: a REGRESSION head trains with smooth L1 on
+    targets through the config's tc transform, a BINARY_LOGIT head with
+    binary cross entropy on its logits against labels tc > label_threshold.
+    Fully deterministic given the two seeds (parameter init and epoch
+    shuffling). Returns the trained parameters and the per-epoch mean
+    training loss.
 
     Pairs are encoded at entry, and both forms train alike, bit for bit:
     only each row's nonzero cells are kept, each step hands its batch's
@@ -821,7 +813,6 @@ def train(
     """
     if len(samples) == 0:
         raise EmptyDatasetError("no training samples")
-    _paired_loss(model_cfg.head, train_cfg.loss)
     encoded = isinstance(samples, EncodedRows)
     if encoded != (tc_kelvin is not None):
         raise ValueError("tc_kelvin goes with encoded rows, and only with them")
@@ -837,6 +828,7 @@ def train(
     rows = samples if encoded else encode_rows([c for c, _ in samples], dt)
     cells, values = rows.cells, rows.values.astype(dt, copy=False)
 
+    loss_fn = _LOSSES[_HEAD_LOSS[model_cfg.head]]
     params = init_params(model_cfg)
     state = init_adam(params)
     shuffle_rng = np.random.default_rng(train_cfg.shuffle_seed)
@@ -849,7 +841,7 @@ def train(
             idx = perm[start : start + train_cfg.batch_size]
             entries = _batch_entries(cells, values, idx)
             raw, cache = _forward_cached(params, entries, len(idx), ws)
-            loss, dout = _LOSSES[train_cfg.loss](raw, targets[idx])
+            loss, dout = loss_fn(raw, targets[idx])
             if not np.isfinite(loss):
                 raise DivergenceDetectedError(epoch, step, loss)
             grads = _backward_cached(params, cache, dout, ws)

@@ -40,7 +40,7 @@ from .dataset import (
     rotating_folds,
     write_csv,
 )
-from .errors import EmptyDatasetError, UnknownValueError
+from .errors import EmptyDatasetError
 from .formula import Composition, FormulaError, parse_composition
 from .metrics import (
     EvalReport,
@@ -75,18 +75,17 @@ class TrainingFilter:
 
     - year_before: keep only records dated strictly before the year; undated
       records fail a year bound (their side of the cutoff is unknowable).
-    - families: when set, keep only records classified into one of these.
-    - exclude_families: drop records classified into any of these.
+    - exclude_families: drop records classified into any of these (to keep
+      only some families, list the others).
     - remove: drop records whose composition matches any of these formulas
       (same `Composition.key()`, the rule dedup, overlap removal and the
       leakage checks use).
 
     An empty filter keeps everything. Records without a composition pass
-    unless a family rule is present (they cannot be classified).
+    unless exclude_families is set (they cannot be classified).
     """
 
     year_before: int | None = None
-    families: frozenset[FamilyLabel] | None = None
     exclude_families: frozenset[FamilyLabel] = frozenset()
     remove: tuple[str, ...] = ()
     _removals: frozenset[Composition] = field(init=False, repr=False, compare=False)
@@ -105,13 +104,8 @@ class TrainingFilter:
             if record.year is None or record.year >= self.year_before:
                 return False
         comp = record.composition
-        if self.families is not None or self.exclude_families:
-            if comp is None:
-                return False
-            fam = classify_family(comp)
-            if self.families is not None and fam not in self.families:
-                return False
-            if fam in self.exclude_families:
+        if self.exclude_families:
+            if comp is None or classify_family(comp) in self.exclude_families:
                 return False
         return comp is None or comp not in self._removals
 
@@ -135,7 +129,7 @@ class ExperimentSpec:
 
     name: str
     training_filter: TrainingFilter = TrainingFilter()
-    test_set: str = ""
+    test_set: FamilyLabel | None = None
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     repeats: int = 1
@@ -145,6 +139,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("experiment needs a name")
+        if self.test_set is not None and not isinstance(self.test_set, FamilyLabel):
+            raise ValueError(f"test_set must be a FamilyLabel or None, got {self.test_set!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         ths = tuple(float(t) for t in self.thresholds)
@@ -469,10 +465,9 @@ def run_family_discovery(
     EmptyDatasetError, and a row without a composition or a Tc a ValueError,
     never a silently skipped check.
     """
-    try:
-        target = FamilyLabel[spec.test_set.upper()]
-    except KeyError:
-        raise UnknownValueError("experiment.test_set", spec.test_set, FamilyLabel) from None
+    target = spec.test_set
+    if target is None:
+        raise ValueError("family discovery needs spec.test_set")
     if eval_list is not None:
         _check_scored(eval_list, "reference list")
     test_rows = [

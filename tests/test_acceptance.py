@@ -24,6 +24,7 @@ from scscreen.baseline import (
 )
 from scscreen.cli import main as cli_main
 from scscreen.dataset import (
+    FamilyLabel,
     Source,
     classify_family,
     garbage_in,
@@ -431,11 +432,10 @@ def test_c08_bridge_rows_pull_excluded_family_up():
     spec = ExperimentSpec(
         name="planted-family",
         training_filter=build_training_filter({"exclude_families": ["FESC"]}),
-        test_set="FESC",
+        test_set=FamilyLabel.FESC,
         model=ModelConfig(conv_layers=1, channels_per_layer=8, dense_hidden=0,
                           head=Head.BINARY_LOGIT, seed=11),
-        train=TrainConfig(learning_rate=3e-2, batch_size=8, epochs=200,
-                          loss=Loss.BCE_LOGIT, shuffle_seed=2),
+        train=TrainConfig(learning_rate=3e-2, batch_size=8, epochs=200, shuffle_seed=2),
         repeats=10,
     )
     t0 = time.monotonic()

@@ -2,6 +2,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,21 @@ class TestUsage:
         assert main(["parse", "--formula", "Nb"]) == 1
         assert "environment" in capsys.readouterr().err
 
+    def test_readme_usage_names_every_flag(self):
+        # each usage line of the README names exactly its subcommand's flags
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+        documented, name = {}, None
+        for line in block.splitlines():
+            if line.startswith("scscreen "):
+                name = line.split()[1]
+            documented.setdefault(name, set()).update(re.findall(r"--[a-z-]+", line.split("#")[0]))
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+                 - {"--help"} for name, p in subparsers.choices.items()}
+        assert documented == flags
+
     @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])
     def test_bad_env_jobs(self, monkeypatch, capsys, value):
         # the --jobs rule holds for the environment default too
@@ -135,7 +152,8 @@ class TestEncode:
 
 class TestManifest:
     def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
-        manifest = cli.Manifest(str(tmp_path), "encode", argparse.Namespace(formula="Nb"))
+        manifest = cli.Manifest(argparse.Namespace(out=str(tmp_path), subcommand="encode",
+                                                   formula="Nb"))
         before = (tmp_path / "manifest.json").read_text()
 
         def dump_then_fail(obj, f, **kwargs):
@@ -151,7 +169,8 @@ class TestManifest:
 
     def test_lists_the_outputs_it_handed_out(self, tmp_path):
         out = tmp_path / "new" / "dir"
-        manifest = cli.Manifest(str(out), "encode", argparse.Namespace(formula="Nb"))
+        manifest = cli.Manifest(argparse.Namespace(out=str(out), subcommand="encode",
+                                                   formula="Nb"))
         assert manifest.output("b.csv") == str(out / "b.csv")
         manifest.output("a.csv")
         assert json.loads((out / "manifest.json").read_text())["outputs"] == []
@@ -184,7 +203,17 @@ class TestDatasetBuild:
         out = tmp_path / "out"
         assert main(["dataset-build", "--sc", str(bad), "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "started"
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["class"] == "SchemaMismatchError"
+        assert "need a 'formula' column" in manifest["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["--cod", "--eval"])
+    def test_empty_path_is_read_like_any_other(self, world, tmp_path, capsys, flag):
+        # an empty --cod or --eval used to skip its table and exit 0
+        out = tmp_path / "out"
+        assert main(["dataset-build", "--sc", str(world["sc"]), flag, "", "--out", str(out)]) == 2
+        assert "No such file or directory: ''" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
     def test_unreadable_csv_line_is_data_error_naming_it(self, tmp_path, capsys):
         # one cell over the csv module's 131,072-character field limit
@@ -254,7 +283,34 @@ class TestTrain:
                          "--out", str(out)])
         assert code == 3
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "started"
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == 3
+        error = manifest["error"]
+        assert error["class"] == "DivergenceDetectedError"
+        assert f"at epoch {error['epoch']}, step {error['step']};" in error["message"]
+
+    def test_binary_logit_head_trains_without_a_loss_key(self, world, tmp_path):
+        # the loss follows the head; this spec used to exit 2 with
+        # "loss SMOOTH_L1 does not fit head BINARY_LOGIT"
+        cfg = write_config(tmp_path / "cfg.json", model=dict(TINY_MODEL, head="binary_logit"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--data", str(world["sc"]),
+                     "--out", str(out)]) == 0
+        assert load_checkpoint(out / "model.npz").config.head.name == "BINARY_LOGIT"
+
+    @pytest.mark.parametrize("fragment, message", [
+        ({"train": dict(TINY_TRAIN, loss="smooth_l1")}, "unknown experiment.train field(s) ['loss']"),
+        ({"training_filter": {"families": ["conventional"]}},
+         "unknown experiment.training_filter field(s) ['families']"),
+        ({"test_set": "NOBLE_GAS"}, "experiment.test_set: unknown value 'NOBLE_GAS'"),
+    ], ids=["train.loss", "training_filter.families", "test_set"])
+    def test_spec_is_checked_when_it_loads(self, world, tmp_path, capsys, fragment, message):
+        # train.loss and training_filter.families are no longer fields, and
+        # test_set is read as a family name; train used to run all three
+        cfg = write_config(tmp_path / "cfg.json", **fragment)
+        assert main(["train", "--config", cfg, "--data", str(world["sc"]),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_config_is_data_error(self, world, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -317,6 +373,15 @@ class TestScreen:
         assert len(rows) == 1 + 34  # cuprate and FeSC rows are gone
         assert (a / "candidates.csv").read_bytes() == (b / "candidates.csv").read_bytes()
         assert (a / "threshold_counts.csv").read_bytes() == (b / "threshold_counts.csv").read_bytes()
+
+    def test_result_bytes_do_not_depend_on_jobs(self, world, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", fold_size=12)
+        for jobs in ("1", "2"):
+            assert main(["screen", "--config", cfg, "--sc", str(world["sc"]),
+                         "--cod", str(world["cod"]), "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        for name in ("candidates.csv", "threshold_counts.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_config_without_fold_size_is_data_error(self, world, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -387,6 +452,19 @@ class TestDiscover:
         assert hist[0] == ["bin_left", "bin_right", "count"]
         assert sum(int(r[2]) for r in hist[1:]) == 2
 
+    def test_result_bytes_do_not_depend_on_jobs(self, world, tmp_path):
+        fesc = tmp_path / "sc_fesc.csv"
+        write_input_csv(fesc, sc_world() + [make_record("LaFeAsO", 26.0, 2008, Source.SUPERCON),
+                                            make_record("FeSe", 8.0, 2008, Source.SUPERCON)])
+        cfg = write_config(tmp_path / "cfg.json", training_filter={"year_before": 2008},
+                           test_set="FESC", repeats=3)
+        for jobs in ("1", "2"):
+            assert main(["discover", "--config", cfg, "--sc", str(fesc),
+                         "--cod", str(world["cod"]), "--eval", str(world["eval"]),
+                         "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        for name in ("runs.csv", "histogram.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_reference_list_with_nothing_to_score_is_data_error(self, world, tmp_path, capsys):
         fesc = tmp_path / "sc_fesc.csv"
         from scscreen.dataset import Source, make_record
@@ -447,8 +525,7 @@ class TestManifestConfig:
         spec = load_experiment_spec(cfg)
         assert spec_from_dict(config) == dataclasses.replace(
             spec, model=dataclasses.replace(spec.model, seed=99))
-        assert sorted(config["training_filter"]) == [
-            "exclude_families", "families", "remove", "year_before"]
+        assert sorted(config["training_filter"]) == ["exclude_families", "remove", "year_before"]
 
     def test_train_records_its_input_before_the_filter(self, world, tmp_path):
         # train used to fingerprint the filtered rows, unlike every other command
@@ -651,6 +728,13 @@ class TestBaseline:
                      "--features", str(feats), "--trees", "5",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "scscreen: no feature rows for: H, O\n"
+        # the manifest says why; it used to stay at "started", with no reason
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == {"class": "MissingElementFeaturesError",
+                                     "message": "no feature rows for: H, O"}
+        assert manifest["outputs"] == []
 
     def test_missing_elements_of_several_rows_named_in_one_error(self, tmp_path, capsys):
         sc, cod = tmp_path / "sc.csv", tmp_path / "cod.csv"

@@ -676,7 +676,7 @@ class TestTrain:
     def test_classification_head_learns_labels(self):
         cfg = ModelConfig(conv_layers=2, channels_per_layer=4, dense_hidden=8,
                           head=Head.BINARY_LOGIT, seed=0)
-        tcfg = TrainConfig(learning_rate=1e-1, batch_size=8, epochs=150, loss=Loss.BCE_LOGIT)
+        tcfg = TrainConfig(learning_rate=1e-1, batch_size=8, epochs=150)
         samples = toy_samples(32, seed=3)
         params, trace = train(samples, cfg, tcfg, label_threshold=5.0)
         assert trace[-1] < 0.5 * trace[0]
@@ -687,12 +687,6 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             train([], tiny_cfg(), TrainConfig(epochs=1))
-
-    def test_head_loss_pairing_enforced(self):
-        with pytest.raises(ValueError):
-            train(toy_samples(8), tiny_cfg(), TrainConfig(loss=Loss.BCE_LOGIT))
-        with pytest.raises(ValueError):
-            train(toy_samples(8), tiny_cfg(head=Head.BINARY_LOGIT), TrainConfig(loss=Loss.SMOOTH_L1))
 
     def test_divergence_detected(self):
         cfg = tiny_cfg(channels_per_layer=2, dtype="float32")
@@ -902,10 +896,7 @@ class TestEncodedRows:
         ModelConfig(conv_layers=2, channels_per_layer=3, head=Head.BINARY_LOGIT, seed=1),
     ]
 
-    @staticmethod
-    def _train_cfg(cfg):
-        loss = Loss.BCE_LOGIT if cfg.head is Head.BINARY_LOGIT else Loss.SMOOTH_L1
-        return TrainConfig(learning_rate=1e-2, batch_size=7, epochs=3, loss=loss, shuffle_seed=4)
+    TRAIN = TrainConfig(learning_rate=1e-2, batch_size=7, epochs=3, shuffle_seed=4)
 
     def test_encode_rows_layout(self):
         comps = [parse_composition(f) for f in ("Nb", "FeO", "Cu2O3La", "H")]
@@ -925,7 +916,7 @@ class TestEncodedRows:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["1x4", "float64-dense", "logit"])
     def test_train_on_encoded_rows_equals_train_on_pairs(self, cfg):
         samples = toy_samples(30, seed=2)
-        tcfg = self._train_cfg(cfg)
+        tcfg = self.TRAIN
         want, want_trace = train(samples, cfg, tcfg, label_threshold=5.0)
         tc = [t for _, t in samples]
         for dtype in ("float64", cfg.dtype):
@@ -988,7 +979,7 @@ class TestCheckpoint:
                           head=Head.BINARY_LOGIT, tc_transform=TcTransform.LINEAR,
                           seed=13, dtype="float64")
         params, _ = train(toy_samples(8), cfg,
-                          TrainConfig(epochs=2, batch_size=4, loss=Loss.BCE_LOGIT))
+                          TrainConfig(epochs=2, batch_size=4))
         path = tmp_path / "model.npz"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
@@ -1063,8 +1054,7 @@ class TestConfigSchema:
             ModelConfig(conv_layers=2, channels_per_layer=5, dense_hidden=0,
                         head=Head.BINARY_LOGIT, tc_transform=TcTransform.LINEAR,
                         seed=13, dtype="float64"),
-            TrainConfig(learning_rate=0.5, batch_size=7, epochs=3,
-                        loss=Loss.BCE_LOGIT, shuffle_seed=9),
+            TrainConfig(learning_rate=0.5, batch_size=7, epochs=3, shuffle_seed=9),
         ],
         ids=["model", "train"],
     )

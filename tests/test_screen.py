@@ -15,7 +15,6 @@ from scscreen.metrics import EvalReport
 from scscreen.nn import (
     EmptyDatasetError,
     Head,
-    Loss,
     ModelConfig,
     TcTransform,
     TrainConfig,
@@ -124,12 +123,6 @@ class TestTrainingFilter:
         assert not f(rec("NbTi", 9.0, 2005))
         assert not f(rec("NbTi", 9.0, None))
 
-    def test_family_inclusion(self):
-        f = build_training_filter({"families": ["conventional"]})
-        assert f(rec("NbTi", 9.0, 2000))
-        assert not f(rec("YBa2Cu3O7", 92.0, 1987))
-        assert not f(rec("LaFeAsO", 26.0, 2008))
-
     def test_family_exclusion(self):
         f = build_training_filter({"exclude_families": ["CUPRATE", "FESC"]})
         assert f(rec("NbTi", 9.0, 2000))
@@ -165,7 +158,7 @@ class TestTrainingFilter:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(UnknownValueError, match="HEAVY_FERMION"):
-            build_training_filter({"families": ["HEAVY_FERMION"]})
+            build_training_filter({"exclude_families": ["HEAVY_FERMION"]})
 
     def test_bad_removal_formula_rejected(self):
         with pytest.raises(ValueError, match="removal target"):
@@ -216,7 +209,7 @@ class TestExperimentSpec:
                 "training_filter": {"year_before": 2010},
                 "test_set": "fesc",
                 "model": {"conv_layers": 2, "head": "binary_logit", "dtype": "float64"},
-                "train": {"loss": "bce_logit", "epochs": 5},
+                "train": {"epochs": 5},
                 "repeats": 4,
                 "thresholds": [0, 10],
                 "fold_size": 50,
@@ -224,7 +217,7 @@ class TestExperimentSpec:
         )
         assert s.model.conv_layers == 2
         assert s.model.head is Head.BINARY_LOGIT
-        assert s.train.loss is Loss.BCE_LOGIT
+        assert s.test_set is FamilyLabel.FESC
         assert s.thresholds == (0.0, 10.0)
         assert s.fold_size == 50
         assert s.training_filter.year_before == 2010
@@ -259,11 +252,11 @@ class TestExperimentSpec:
 
     def test_valid_values_read_as_before(self):
         s = spec_from_dict({"name": "x", "train": {"learning_rate": 1}, "thresholds": [0, 4],
-                            "fold_size": None, "training_filter": {"families": ["fesc"]}})
+                            "fold_size": None, "training_filter": {"exclude_families": ["fesc"]}})
         assert s.train.learning_rate == 1.0 and type(s.train.learning_rate) is float
         assert s.thresholds == (0.0, 4.0)
         assert s.fold_size is None
-        assert s.training_filter.families == frozenset({FamilyLabel.FESC})
+        assert s.training_filter.exclude_families == frozenset({FamilyLabel.FESC})
 
     def test_readme_example_reads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -271,6 +264,18 @@ class TestExperimentSpec:
         s = spec_from_dict(json.loads(block))
         assert s.name == "screen-2026"
         assert spec_from_dict(config_echo(s)) == s
+
+    def test_readme_table_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = re.search(r"\| field \| JSON type \|\n\| --- \| --- \|\n((?:\|.*\n)+)", readme)
+        documented = [path for row in table.group(1).splitlines()
+                      for path in re.findall(r"`([a-z_.]+)`", row.split("|")[1])]
+
+        def leaves(echo, prefix=""):
+            for k, v in echo.items():
+                yield from leaves(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+        assert sorted(documented) == sorted(leaves(config_echo(ExperimentSpec(name="x"))))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -303,8 +308,8 @@ class TestExperimentSpec:
         s = spec_from_dict({"name": "x", "training_filter": {"year_before": 2010}})
         echo = json.loads(json.dumps(config_echo(s)))
         assert echo["name"] == "x"
-        assert echo["training_filter"] == {"year_before": 2010, "families": None,
-                                           "exclude_families": [], "remove": []}
+        assert echo["training_filter"] == {"year_before": 2010, "exclude_families": [],
+                                           "remove": []}
         assert echo["model"]["head"] == "REGRESSION"
 
 
@@ -324,14 +329,12 @@ _train_configs = st.builds(
     learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     batch_size=st.integers(1, 1024),
     epochs=_ints,
-    loss=st.sampled_from(Loss),
     shuffle_seed=_ints,
 )
 _families = st.frozensets(st.sampled_from(FamilyLabel))
 _training_filters = st.builds(
     TrainingFilter,
     year_before=st.none() | st.integers(-3000, 3000),
-    families=st.none() | _families,
     exclude_families=_families,
     remove=st.lists(st.sampled_from(["LaFePO", "Nb3Sn", "CaBi2", "MgB2", "La1.85Sr0.15CuO4",
                                      "YBa2Cu3O7", "Ba(Fe0.92Co0.08)2As2"]), max_size=4).map(tuple),
@@ -340,7 +343,7 @@ _specs = st.builds(
     ExperimentSpec,
     name=st.text(min_size=1),
     training_filter=_training_filters,
-    test_set=st.text(),
+    test_set=st.none() | st.sampled_from(FamilyLabel),
     model=_model_configs,
     train=_train_configs,
     repeats=st.integers(1, 50),
@@ -358,11 +361,10 @@ def test_echo_round_trips_through_json(cfg):
 
 
 @settings(max_examples=100)
-@given(_families, _families)
-def test_frozensets_echo_as_sorted_names(families, excluded):
+@given(_families)
+def test_frozensets_echo_as_sorted_names(excluded):
     # a frozenset of enums iterates in a different order in each process
-    echo = config_echo(TrainingFilter(families=families, exclude_families=excluded))
-    assert echo["families"] == sorted(f.name for f in families)
+    echo = config_echo(TrainingFilter(exclude_families=excluded))
     assert echo["exclude_families"] == sorted(f.name for f in excluded)
     assert "_removals" not in echo
 
@@ -468,7 +470,7 @@ class TestCandidateScreen:
         # ranking and kelvin thresholds are meaningless for probabilities
         spec = screen_spec(
             model=tiny_model(head=Head.BINARY_LOGIT),
-            train=quick_train(epochs=2, loss=Loss.BCE_LOGIT),
+            train=quick_train(epochs=2),
         )
         with pytest.raises(ValueError, match="REGRESSION"):
             run_candidate_screen(sc_world(), screen_cod(), spec)
@@ -548,7 +550,7 @@ class TestTemporalEval:
     def test_classification_head_trains_per_threshold(self):
         spec = eval_spec(
             model=tiny_model(head=Head.BINARY_LOGIT),
-            train=quick_train(epochs=3, loss=Loss.BCE_LOGIT),
+            train=quick_train(epochs=3),
             thresholds=(0.0, 10.0),
         )
         reports = run_temporal_eval(sc_world(), cod_world(), eval_list_rows(), spec)
@@ -602,7 +604,7 @@ def discovery_spec(**kw):
     base = dict(
         name="discover-toy",
         training_filter=build_training_filter({"year_before": 2008}),
-        test_set="FESC",
+        test_set=FamilyLabel.FESC,
         model=tiny_model(),
         train=quick_train(epochs=3),
         repeats=3,
@@ -689,9 +691,15 @@ class TestFamilyDiscovery:
             run_family_discovery(sc_world(), cod_world(), discovery_spec())
 
     def test_unknown_target_family(self):
+        with pytest.raises(UnknownValueError, match=r"experiment\.test_set: unknown value 'NOBLE_GAS'"):
+            spec_from_dict({"name": "x", "test_set": "NOBLE_GAS"})
+        with pytest.raises(ValueError, match="test_set must be a FamilyLabel"):
+            discovery_spec(test_set="FESC")
+
+    def test_no_target_family(self):
         sc, cod = discovery_world()
-        with pytest.raises(UnknownValueError):
-            run_family_discovery(sc, cod, discovery_spec(test_set="NOBLE_GAS"))
+        with pytest.raises(ValueError, match="needs spec.test_set"):
+            run_family_discovery(sc, cod, discovery_spec(test_set=None))
 
     def test_counting_rule_depends_on_head(self):
         # A barely-trained kelvin regressor predicts near the training mean,
@@ -703,7 +711,7 @@ class TestFamilyDiscovery:
         assert [r.n_positive for r in reg.runs] == [4, 4, 4]
         spec = discovery_spec(
             model=tiny_model(head=Head.BINARY_LOGIT),
-            train=quick_train(epochs=3, loss=Loss.BCE_LOGIT),
+            train=quick_train(epochs=3),
         )
         prob = run_family_discovery(sc, cod, spec)
         assert [r.n_positive for r in prob.runs] == [0, 0, 0]
@@ -772,7 +780,7 @@ class TestEncodeOnce:
         sc, cod, evals = sc_world(), cod_world(), eval_list_rows()
         spec = eval_spec(
             model=tiny_model(head=Head.BINARY_LOGIT),
-            train=quick_train(epochs=1, loss=Loss.BCE_LOGIT),
+            train=quick_train(epochs=1),
         )
         assert len(spec.thresholds) == 3
         run_temporal_eval(sc, cod, evals, spec)
