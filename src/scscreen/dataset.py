@@ -135,7 +135,7 @@ def ingest_csv(path, source: Source) -> IngestReport:
                     year = int(year_text) if year_text else None
                     rec = make_record(raw, tc, year, source)
                 except ValueError as err:
-                    raise SchemaMismatchError(f"{path}:{n_rows + 1}: {err}") from None
+                    raise SchemaMismatchError(f"{path}:{reader.line_num}: {err}") from None
                 if rec.flagged_reason is not None:
                     n_flagged += 1
                 records.append(rec)

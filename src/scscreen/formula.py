@@ -363,16 +363,19 @@ class Composition(Mapping):
         self._set(checked)
 
     @classmethod
-    def _from_counts(cls, counts: dict[str, float]) -> Composition:
-        """normalize() for counts that are already known symbols, each
-        finite and > 0 (what `parse_formula` returns): only the checks the
-        division can still fail are made, with normalize's errors."""
+    def _from_counts(cls, counts: dict[str, float], shown: Mapping | None = None) -> Composition:
+        """normalize() for finite float counts > 0 (what `parse_formula`
+        returns). An overflowing sum names `shown` (default counts); then
+        each symbol in turn must be known and its fraction not underflow."""
         try:
             total = math.fsum(counts.values())
         except OverflowError:
-            raise FormulaError(f"the sum of the counts overflows in {dict(counts)}") from None
+            shown = dict(shown or counts)
+            raise FormulaError(f"the sum of the counts overflows in {shown}") from None
         fractions = {}
         for symbol, value in counts.items():
+            if symbol not in ATOMIC_NUMBER:
+                raise UnknownElementError(str(symbol), 0, str(symbol))
             f = value / total
             if f <= 0.0:  # underflow
                 raise NonPositiveCountError(symbol, symbol, f)
@@ -458,17 +461,14 @@ def normalize(counts: Mapping[str, float]) -> Composition:
     """Scale raw counts to molar fractions."""
     if not counts:
         raise EmptyCountsError("cannot normalize an empty count map")
+    values = {}
     for symbol, value in counts.items():
-        value = float(value)
+        value = values[symbol] = float(value)
         if value <= 0.0:
             raise NonPositiveCountError(str(dict(counts)), symbol, value)
         if not math.isfinite(value):
             raise FormulaError(f"element {symbol} has non-finite count {value} in {dict(counts)}")
-    try:
-        total = math.fsum(float(v) for v in counts.values())
-    except OverflowError:
-        raise FormulaError(f"the sum of the counts overflows in {dict(counts)}") from None
-    return Composition({s: float(v) / total for s, v in counts.items()})
+    return Composition._from_counts(values, counts)
 
 
 def parse_composition(raw: str) -> Composition:

@@ -17,6 +17,10 @@ drop those that match a measured training row (`_hold_out`); the screen
 rejects a corpus row whose key matches a training superconductor or another
 corpus row, which covers every fold at once. All randomness derives from
 seeds recorded in the result.
+
+Each experiment encodes its rows once (`_encode`) and describes each model
+as a `_Fit` over them; `_fit_all`, the one place a model trains, runs an
+experiment's models in `--jobs` threads.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +118,6 @@ class TrainingFilter:
         return [r for r in records if self(r)]
 
 
-
 def build_training_filter(fragment: Mapping) -> TrainingFilter:
     """Build a TrainingFilter from a JSON-shaped mapping by `config_from_dict`."""
     return config_from_dict(TrainingFilter, fragment, "training_filter")
@@ -151,7 +155,6 @@ class ExperimentSpec:
         object.__setattr__(self, "thresholds", ths)
         if self.fold_size is not None and self.fold_size < 1:
             raise ValueError(f"fold_size must be >= 1, got {self.fold_size}")
-
 
 
 def spec_from_dict(data: Mapping) -> ExperimentSpec:
@@ -199,10 +202,17 @@ def _check_scored(rows: Sequence[MaterialRecord], name: str) -> None:
         )
 
 
-def _encode(records: Sequence[MaterialRecord], spec: ExperimentSpec) -> EncodedRows:
-    """The records' compositions, encoded once in the model's dtype for
-    every model of the experiment to share (threads only read them)."""
-    return encode_rows([r.composition for r in records], spec.model.np_dtype)
+def _encode(
+    spec: ExperimentSpec, *groups: Sequence[MaterialRecord]
+) -> tuple[EncodedRows, np.ndarray, list[np.ndarray]]:
+    """Every row of the groups, encoded in one `encode_rows` call in the
+    model's dtype for every model of the experiment to share (threads only
+    read them); the rows' Tc; and each group's indices into both."""
+    rows = [r for g in groups for r in g]
+    encoded = encode_rows([r.composition for r in rows], spec.model.np_dtype)
+    tc = np.array([r.tc_kelvin for r in rows], dtype=np.float64)
+    ends = np.cumsum([len(g) for g in groups])
+    return encoded, tc, [np.arange(end - len(g), end) for g, end in zip(groups, ends)]
 
 
 def _keys(records: Iterable[MaterialRecord]) -> set[Composition]:
@@ -256,12 +266,30 @@ def _report(head: Head, pred, true_tc: Sequence[float], t: float) -> EvalReport:
     )
 
 
-def _run_indexed(tasks: Sequence, fn, jobs: int) -> list:
-    """Run fn over tasks, optionally in threads; results keep task order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+class _Fit(NamedTuple):
+    """One model as plain data: it trains on rows `train_idx` of an
+    experiment's encoded rows and predicts each index array of `scored`."""
+
+    model: ModelConfig
+    train: TrainConfig
+    label_threshold: float
+    train_idx: np.ndarray
+    scored: tuple[np.ndarray, ...]
+
+
+def _fit_all(encoded: EncodedRows, tc: np.ndarray, fits: Sequence[_Fit], jobs: int) -> list:
+    """Each fit's predictions, a list of one array per scored set, in fit
+    order; the fits run in `jobs` threads when jobs > 1."""
+
+    def run(fit: _Fit) -> list[np.ndarray]:
+        params, _ = train(encoded.take(fit.train_idx), fit.model, fit.train,
+                          tc_kelvin=tc[fit.train_idx], label_threshold=fit.label_threshold)
+        return [predict(params, encoded.take(idx)) for idx in fit.scored]
+
+    if jobs <= 1 or len(fits) <= 1:
+        return [run(f) for f in fits]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(run, fits))
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +349,15 @@ def run_candidate_screen(
     if not corpus:
         raise EmptyDatasetError("catalogue is empty after overlap removal")
     _assert_corpus_disjoint(sc_train, corpus)
-    folds = rotating_folds(corpus, spec.fold_size, seed=spec.model.seed)
-    # encoded rows 0 to len(sc_train) - 1 are the superconductors, then the corpus
-    encoded = _encode(sc_train + corpus, spec)
-    tc = np.array([r.tc_kelvin for r in sc_train + corpus])
-    sc_idx = np.arange(len(sc_train))
-
-    def score_fold(task):
-        fold_id, (train_idx, test_idx) = task
-        model_cfg = dataclasses.replace(spec.model, seed=spec.model.seed + fold_id)
-        idx = np.concatenate([sc_idx, len(sc_train) + np.asarray(train_idx, np.intp)])
-        params, _ = train(encoded.take(idx), model_cfg, spec.train, tc_kelvin=tc[idx])
-        return predict(params, encoded.take(len(sc_train) + np.asarray(test_idx, np.intp)))
-
-    per_fold = _run_indexed(list(enumerate(folds)), score_fold, jobs)
+    # the corpus is encoded first, so a corpus index is its encoded row; the
+    # folds' index lists live only until their fits hold them as arrays
+    encoded, tc, (_, sc_idx) = _encode(spec, corpus, sc_train)
+    fits = [
+        _Fit(dataclasses.replace(spec.model, seed=spec.model.seed + f), spec.train, 0.0,
+             np.concatenate([sc_idx, np.asarray(train, np.intp)]), (np.asarray(test, np.intp),))
+        for f, (train, test) in enumerate(rotating_folds(corpus, spec.fold_size, spec.model.seed))
+    ]
+    per_fold = _fit_all(encoded, tc, fits, jobs)
     rows = [
         CandidateRow(
             formula=corpus[i].composition.formula(),
@@ -342,22 +365,18 @@ def run_candidate_screen(
             fold_id=fold_id,
             family=classify_family(corpus[i].composition),
         )
-        for fold_id, ((_, test_idx), preds) in enumerate(zip(folds, per_fold))
-        for i, p in zip(test_idx, preds.tolist())
+        for fold_id, (fit, (preds,)) in enumerate(zip(fits, per_fold))
+        for i, p in zip(fit.scored[0].tolist(), preds.tolist())
     ]
-    kept = [
-        r for r in rows if r.family not in (FamilyLabel.CUPRATE, FamilyLabel.FESC)
-    ]
+    kept = [r for r in rows if r.family not in (FamilyLabel.CUPRATE, FamilyLabel.FESC)]
     kept.sort(key=lambda r: (-r.predicted_tc_kelvin, r.formula))
-    counts = [
-        (t, sum(1 for r in kept if r.predicted_tc_kelvin > t)) for t in spec.thresholds
-    ]
+    counts = [(t, sum(1 for r in kept if r.predicted_tc_kelvin > t)) for t in spec.thresholds]
     return CandidateList(
         rows=kept,
         threshold_counts=counts,
-        n_folds=len(folds),
+        n_folds=len(fits),
         fold_seed=spec.model.seed,
-        model_seeds=[spec.model.seed + i for i in range(len(folds))],
+        model_seeds=[f.model.seed for f in fits],
         n_excluded=len(rows) - len(kept),
     )
 
@@ -403,20 +422,15 @@ def run_temporal_eval(
     if not eval_rows:
         raise EmptyDatasetError("evaluation list is empty after overlap removal")
 
-    true_tc = [r.tc_kelvin for r in eval_rows]
-    train_encoded, train_tc = _encode(train_rows, spec), [r.tc_kelvin for r in train_rows]
-    eval_encoded = _encode(eval_rows, spec)
+    encoded, tc, (train_idx, eval_idx) = _encode(spec, train_rows, eval_rows)
     head = spec.model.head
-
-    reports = []
-    for t in spec.thresholds:
-        if not reports or head is Head.BINARY_LOGIT:
-            params, _ = train(
-                train_encoded, spec.model, spec.train, tc_kelvin=train_tc, label_threshold=t
-            )
-            pred = predict(params, eval_encoded)
-        reports.append(_report(head, pred, true_tc, t))
-    return reports
+    trained_at = spec.thresholds if head is Head.BINARY_LOGIT else spec.thresholds[:1]
+    fits = [_Fit(spec.model, spec.train, t, train_idx, (eval_idx,)) for t in trained_at]
+    preds = [pred for pred, in _fit_all(encoded, tc, fits, jobs=1)]
+    if head is Head.REGRESSION:
+        preds *= len(spec.thresholds)
+    true_tc = tc[eval_idx].tolist()
+    return [_report(head, pred, true_tc, t) for pred, t in zip(preds, spec.thresholds)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,46 +509,30 @@ def run_family_discovery(
     if eval_list is not None and not eval_rows:
         raise EmptyDatasetError("reference list is empty after overlap removal")
 
-    train_encoded, train_tc = _encode(train_rows, spec), [r.tc_kelvin for r in train_rows]
-    test_encoded = _encode(test_rows, spec)
-    eval_encoded = _encode(eval_rows, spec)
-    eval_tc = [r.tc_kelvin for r in eval_rows]
+    encoded, tc, (train_idx, test_idx, eval_idx) = _encode(spec, train_rows, test_rows, eval_rows)
     check_t = spec.thresholds[0]
-
-    classifying = spec.model.head is Head.BINARY_LOGIT
-
-    def one_run(k: int) -> RunReport:
-        model_cfg = dataclasses.replace(spec.model, seed=spec.model.seed + k)
-        train_cfg = dataclasses.replace(
-            spec.train, shuffle_seed=spec.train.shuffle_seed + k
+    fits = [
+        _Fit(
+            dataclasses.replace(spec.model, seed=spec.model.seed + k),
+            dataclasses.replace(spec.train, shuffle_seed=spec.train.shuffle_seed + k),
+            check_t, train_idx, (test_idx, eval_idx) if eval_rows else (test_idx,),
         )
-        params, _ = train(
-            train_encoded, model_cfg, train_cfg, tc_kelvin=train_tc, label_threshold=check_t
-        )
-        pred = predict(params, test_encoded)
-        n_positive = int((pred > (0.5 if classifying else 0.0)).sum())
-        report = None
-        valid = None
+        for k in range(spec.repeats)
+    ]
+    cut = 0.5 if spec.model.head is Head.BINARY_LOGIT else 0.0
+    eval_tc = tc[eval_idx].tolist()
+    runs = []
+    for k, (fit, preds) in enumerate(zip(fits, _fit_all(encoded, tc, fits, jobs))):
+        report = valid = None
         if eval_rows:
-            report = _report(spec.model.head, predict(params, eval_encoded), eval_tc, check_t)
+            report = _report(spec.model.head, preds[1], eval_tc, check_t)
             valid = report.precision is not None and report.precision > report.baseline_precision
-        return RunReport(
-            run_index=k,
-            model_seed=model_cfg.seed,
-            shuffle_seed=train_cfg.shuffle_seed,
-            n_positive=n_positive,
-            eval_report=report,
-            valid=valid,
-        )
-
-    runs = _run_indexed(list(range(spec.repeats)), one_run, jobs)
+        runs.append(RunReport(
+            run_index=k, model_seed=fit.model.seed, shuffle_seed=fit.train.shuffle_seed,
+            n_positive=int((preds[0] > cut).sum()), eval_report=report, valid=valid,
+        ))
     hist = positive_count_histogram([r.n_positive for r in runs])
-    return DiscoveryResult(
-        family=target,
-        histogram=hist,
-        runs=runs,
-        n_test=len(test_rows),
-    )
+    return DiscoveryResult(family=target, histogram=hist, runs=runs, n_test=len(test_rows))
 
 
 def write_runs_csv(result: DiscoveryResult, path) -> None:

@@ -501,6 +501,30 @@ class TestDiscover:
                 "substitute variables first") in capsys.readouterr().err
 
 
+# np.errstate does not reach worker threads, so their overflow warnings are
+# filtered instead
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["screen", "discover"])
+def test_divergence_in_a_thread_exits_3_with_failed_manifest(world, tmp_path, command):
+    # with --jobs 2 the models train in worker threads; a divergence there
+    # must end the run as it does in `train`
+    fesc = tmp_path / "sc_fesc.csv"
+    write_input_csv(fesc, sc_world() + [make_record("FeSe", 8.0, 2008, Source.SUPERCON)])
+    extra = ({"fold_size": 12} if command == "screen"
+             else {"training_filter": {"year_before": 2008}, "test_set": "FESC", "repeats": 3})
+    cfg = write_config(tmp_path / "cfg.json", train=dict(TINY_TRAIN, learning_rate=1e30), **extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--sc", str(fesc), "--cod", str(world["cod"]),
+                 "--jobs", "2", "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("failed", 3)
+    error = manifest["error"]
+    assert error["class"] == "DivergenceDetectedError"
+    assert isinstance(error["epoch"], int) and isinstance(error["step"], int)
+    assert f"at epoch {error['epoch']}, step {error['step']};" in error["message"]
+
+
 class TestManifestConfig:
     @pytest.mark.parametrize("command", ["evaluate", "screen", "discover", "train"])
     def test_config_is_the_spec_that_ran(self, world, tmp_path, command):

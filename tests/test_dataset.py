@@ -66,13 +66,13 @@ def _dict_reader_outcome(path):
         if "formula" not in (reader.fieldnames or []):
             return f"{path}: need a 'formula' column, got {reader.fieldnames}"
         out = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             raw, tc, year = ((row.get(k) or "").strip() for k in ("formula", "tc_K", "year"))
             try:
                 r = make_record(raw, float(tc) if tc else None, int(year) if year else None,
                                 Source.COD)
             except ValueError as err:
-                return f"{path}:{lineno}: {err}"
+                return f"{path}:{reader.line_num}: {err}"
             out.append((r.raw_formula, r.tc_kelvin, r.year, r.flagged_reason))
         return out
 
@@ -124,6 +124,18 @@ class TestIngest:
         p = tmp_path / "bad.csv"
         p.write_text(f"formula,tc_K,year\nNbN,16,\nNb3Sn,{tc},\n")
         with pytest.raises(SchemaMismatchError, match=f"^{re.escape(str(p))}:3: tc_kelvin"):
+            ingest_csv(p, Source.SUPERCON)
+
+    @pytest.mark.parametrize("text, line", [
+        ("formula,tc_K,year\nNb3Sn,18,1954\n\n\nNbN,abc,1960\n", 5),
+        ('formula,tc_K,year\n"Nb3\nSn",18,1954\nNbN,abc,1960\n', 4),
+        ('formula,tc_K,year\nNb3Sn,18,1954\n"Nb\nN",abc,1960\n', 4),
+    ], ids=["blank-lines", "two-line-cell-before", "two-line-cell-in-the-row"])
+    def test_bad_cell_names_the_file_line_its_row_ends_on(self, tmp_path, text, line):
+        # blank lines and line breaks inside quoted cells are lines too
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(SchemaMismatchError, match=f"^{re.escape(str(p))}:{line}: "):
             ingest_csv(p, Source.SUPERCON)
 
     def test_count_overflow_is_flagged_and_ingest_goes_on(self, tmp_path):

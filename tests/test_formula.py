@@ -241,6 +241,22 @@ class TestNormalize:
         with pytest.raises(formula.FormulaError, match="sum of the counts overflows"):
             parse_composition("H" + "9" * 308 + "O" + "9" * 308)
 
+    @pytest.mark.parametrize("counts, error, message", [
+        ({"Xx": 1.0}, UnknownElementError, "unknown element 'Xx' at position 0 in 'Xx'"),
+        # the count checks come first, then the sum, then symbol by symbol
+        ({"Xx": 1.0, "H": -1.0}, NonPositiveCountError, "element H has non-positive count -1"),
+        ({"Xx": 1e308, "H": 1e308}, formula.FormulaError, "sum of the counts overflows"),
+        ({"H": 1, "O": 10**308, "Fe": 10**308}, formula.FormulaError,
+         "overflows in {'H': 1, 'O': 1" + "0" * 308),
+        ({"Xx": 2.0, "H": 5e-324}, UnknownElementError, "unknown element 'Xx'"),
+        ({"H": 5e-324, "Xx": 2.0}, NonPositiveCountError, "element H has non-positive count 0"),
+    ], ids=["unknown", "count-first", "sum-first", "sum-names-the-given-counts",
+            "unknown-before-underflow", "underflow-before-unknown"])
+    def test_normalize_check_order(self, counts, error, message):
+        with pytest.raises(error) as info:
+            normalize(counts)
+        assert type(info.value) is error and message in str(info.value)
+
     def test_composition_validates_sum(self):
         with pytest.raises(ValueError):
             Composition({"H": 0.3, "O": 0.3})

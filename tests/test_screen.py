@@ -1,8 +1,10 @@
 import csv
 import json
+import pickle
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -718,11 +720,10 @@ class TestFamilyDiscovery:
 
     def test_deterministic_and_thread_invariant(self):
         sc, cod = discovery_world()
-        a = run_family_discovery(sc, cod, discovery_spec())
-        b = run_family_discovery(sc, cod, discovery_spec())
-        c = run_family_discovery(sc, cod, discovery_spec(), jobs=2)
-        assert [r.n_positive for r in a.runs] == [r.n_positive for r in b.runs]
-        assert [r.n_positive for r in a.runs] == [r.n_positive for r in c.runs]
+        a, b, c = (run_family_discovery(sc, cod, discovery_spec(), eval_list=eval_list_rows(),
+                                        jobs=jobs) for jobs in (1, 1, 2))
+        assert all(r.eval_report is not None for r in a.runs)
+        assert a.runs == b.runs == c.runs
         assert a.histogram.counts.tolist() == c.histogram.counts.tolist()
 
     def test_runs_csv(self, tmp_path):
@@ -737,6 +738,50 @@ class TestFamilyDiscovery:
         assert rows[0][:4] == ["run_index", "model_seed", "shuffle_seed", "n_positive"]
         assert len(rows) == 3
         assert rows[1][6] in ("true", "false")
+
+
+# ---------------------------------------------------------------------------
+# one runner: every model is a _Fit that _fit_all trains and predicts
+
+
+def test_fit_survives_pickle():
+    # a fit is plain data, so it can be shipped to another process as is
+    fit = screen._Fit(
+        tiny_model(head=Head.BINARY_LOGIT), quick_train(), 4.0,
+        np.arange(5), (np.array([7, 9]), np.arange(3)),
+    )
+    back = pickle.loads(pickle.dumps(fit))
+    assert (back.model, back.train, back.label_threshold) == (fit.model, fit.train, 4.0)
+    assert np.array_equal(back.train_idx, fit.train_idx)
+    assert len(back.scored) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(back.scored, fit.scored))
+
+
+@pytest.fixture
+def trained_thresholds(monkeypatch):
+    """The label threshold of every model `screen.train` trains, in order."""
+    seen = []
+    fit = screen.train
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["label_threshold"])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(screen, "train", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("head, trained", [(Head.REGRESSION, [0.0]),
+                                           (Head.BINARY_LOGIT, [0.0, 4.0, 10.0])],
+                         ids=["regression", "binary_logit"])
+def test_temporal_eval_models_per_head(trained_thresholds, head, trained):
+    # one kelvin regressor serves every threshold; a classifier is trained
+    # per threshold, in threshold order
+    spec = eval_spec(model=tiny_model(head=head), train=quick_train(epochs=1))
+    assert spec.thresholds == (0.0, 4.0, 10.0)
+    reports = run_temporal_eval(sc_world(), cod_world(), eval_list_rows(), spec)
+    assert trained_thresholds == trained
+    assert [r.threshold_kelvin for r in reports] == [0.0, 4.0, 10.0]
 
 
 # ---------------------------------------------------------------------------
