@@ -26,8 +26,8 @@ computed only where its input is nonzero (Graham & van der Maaten, arXiv
 layers build im2col patch matrices. The forward pass keeps layer 0's cells
 and every conv layer's rectified output, which is also the next layer's
 input; the backward pass reads each rectifier's mask off the kept output
-(output > 0 exactly where the pre-activation is). It builds one patch
-matrix per later layer from the output gradient and reads both the weight
+(output > 0 exactly where the pre-activation is). It builds each later
+layer's patch matrix from the output gradient and reads both the weight
 gradient and the input gradient (a transposed convolution) from it; layer
 0 needs only its weight gradient, one GEMM over its cells. Pooling and
 bias gradients sum through a product with a ones vector, which BLAS runs
@@ -35,12 +35,18 @@ bias gradients sum through a product with a ones vector, which BLAS runs
 
 Scratch arrays come from a workspace dict that lives for one call (one
 `forward`, `backward` or `predict`, or one `train` run) and is dropped when
-the call returns; no view into it ever escapes the call. `forward` and
-`predict` take their rows in chunks and forward each chunk's cells as a
-full batch on one workspace (a short last chunk fills up with empty rows).
-A chunk has _INFER_ROWS rows, or, for a model with two or more conv
-layers, as many as keep its im2col patch matrix within _PATCH_BYTES (16
-rows at 32 float32 channels); since nothing runs backward, the layers
+the call returns; no view into it ever escapes the call. Every im2col
+patch matrix, in training and in prediction, is at most _PATCH_BYTES
+(4 MiB): `_patch_rows` gives the rows that fit, 16 at 32 float32 channels
+and 8 at float64, and each conv layer after the first runs its forward
+and backward GEMMs over chunks of that many whole rows. The forward and
+input-gradient GEMMs give each row the same bits as one GEMM over the
+batch would; the weight gradient sums the chunks' GEMMs, so a batch of
+more than one chunk changes it only by rounding. `forward` and `predict`
+take their rows in chunks and forward each chunk's cells as a full batch
+on one workspace (a short last chunk fills up with empty rows). A chunk
+has _INFER_ROWS rows, or, for a model with two or more conv layers, as
+many as `_patch_rows` allows; since nothing runs backward, the layers
 write their outputs to two alternating buffers. So their scratch memory
 does not grow with the number of rows (only `predict`'s encoded rows do,
 at about k × 12 B each), and every GEMM has one shape for the model,
@@ -87,7 +93,7 @@ H_GRID, W_GRID = 7, 32
 N_CELLS = H_GRID * W_GRID  # global-average-pool divisor
 KERNEL = 3
 _INFER_ROWS = 32  # rows per inference chunk at most; TrainConfig's default batch size
-_PATCH_BYTES = 4 << 20  # an inference chunk's im2col patch matrix at most, if it has one
+_PATCH_BYTES = 4 << 20  # any im2col patch matrix at most, in training and in prediction
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -372,6 +378,13 @@ def _ones(ws: dict, n: int, dtype) -> np.ndarray:
     return _ws_buf(ws, ("ones",), (n,), dtype, fill=1)
 
 
+def _patch_rows(c: int, dtype) -> int:
+    """Rows per chunk of a layer whose patch matrix has c channels: as many
+    as keep it within _PATCH_BYTES, and at least one."""
+    row_bytes = N_CELLS * KERNEL * KERNEL * c * np.dtype(dtype).itemsize
+    return max(1, _PATCH_BYTES // row_bytes)
+
+
 def _im2col(x: np.ndarray, ws: dict) -> np.ndarray:
     """(n, H, W, C) -> (n*H*W, 9*C) patch matrix, feature order (ky, kx, c).
 
@@ -487,7 +500,8 @@ def _forward_cached(params: ModelParams, entries, n: int, ws: dict, infer: bool 
     backward pass needs: layer 0's taps and every conv layer's rectified
     output (n * 224, c_out), which is also the next layer's input and
     gives the rectifier's mask (output > 0). Rows without entries are
-    empty rows: `_forward_chunks` fills a short last chunk with them.
+    empty rows: `_forward_chunks` fills a short last chunk with them. Each
+    layer after the first runs over chunks of `_patch_rows` whole rows.
 
     With `infer`, layer i writes its output to workspace buffer i % 2, so
     only the last two outputs stay valid and no backward pass can read the
@@ -501,10 +515,14 @@ def _forward_cached(params: ModelParams, entries, n: int, ws: dict, infer: bool 
         if i == 0:
             pre, taps = _conv0(w, b, entries, n, ws)
         else:
-            cols = _im2col(outs[-1].reshape(n, H_GRID, W_GRID, c_in), ws)  # (n*HW, 9*c_in)
+            x = outs[-1].reshape(n, H_GRID, W_GRID, c_in)
             w_flat = w.transpose(2, 3, 0, 1).reshape(KERNEL * KERNEL * c_in, c_out)
-            pre = _ws_buf(ws, ("act", i % 2 if infer else i), (cols.shape[0], c_out), cols.dtype)
-            np.matmul(cols, w_flat, out=pre)
+            pre = _ws_buf(ws, ("act", i % 2 if infer else i), (n * N_CELLS, c_out), w.dtype)
+            step = _patch_rows(c_in, w.dtype)
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                cols = _im2col(x[lo:hi], ws)  # ((hi-lo)*HW, 9*c_in)
+                np.matmul(cols, w_flat, out=pre[lo * N_CELLS : hi * N_CELLS])
             pre += b
         outs.append(np.maximum(pre, 0.0, out=pre))
     # global average pool, (n, C): each row's cells summed in BLAS
@@ -525,15 +543,14 @@ def _forward_chunks(
     hi - lo outputs are kept; a short last chunk forwards empty rows after
     its own and drops them. So every GEMM has one shape for the model, and
     a row's output does not depend on n. A model with a patch matrix (two
-    or more conv layers) takes as many rows, up to _INFER_ROWS, as keep
-    that matrix within _PATCH_BYTES: 16 at 32 float32 channels.
+    or more conv layers) takes as many rows, up to _INFER_ROWS, as
+    `_patch_rows` allows, so each layer builds one patch matrix per chunk.
     """
     cfg = params.config
     dt = cfg.np_dtype
     rows = _INFER_ROWS
     if cfg.conv_layers > 1:
-        row_bytes = N_CELLS * KERNEL * KERNEL * cfg.channels_per_layer * dt.itemsize
-        rows = min(rows, max(1, _PATCH_BYTES // row_bytes))
+        rows = min(rows, _patch_rows(cfg.channels_per_layer, dt))
     raw = np.empty(n, dtype=dt)
     ws: dict = {}
     for lo in range(0, n, rows):
@@ -593,16 +610,26 @@ def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> 
         # dcols.T @ x_in is the weight gradient of the kernel rotated 180
         # degrees with in/out swapped, m[(2-ky, 2-kx, co), ci] =
         # d_w[ci, co, ky, kx], and dcols @ w_rot is the input gradient.
-        dcols = _im2col(dpre_flat.reshape(n, H_GRID, W_GRID, c_out), ws)  # (n*HW, 9*c_out)
-        m = dcols.T @ outs[layer - 1]  # (9*c_out, c_in)
+        # Both run over chunks of whole rows, as the forward does; the
+        # weight gradient sums the chunks' GEMMs.
+        w_rot = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(KERNEL * KERNEL * c_out, c_in)
+        grid = dpre_flat.reshape(n, H_GRID, W_GRID, c_out)
+        dpre = _ws_buf(ws, ("dpre",), (n * N_CELLS + 1, c_in), dt)
+        step = _patch_rows(c_out, dt)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            rows = slice(lo * N_CELLS, hi * N_CELLS)
+            dcols = _im2col(grid[lo:hi], ws)  # ((hi-lo)*HW, 9*c_out)
+            part = dcols.T @ outs[layer - 1][rows]  # (9*c_out, c_in)
+            m = part if lo == 0 else m + part
+            # dcols holds its own copy of this chunk's rows, padded row by
+            # row, and no chunk reads another's rows; so the GEMM may
+            # overwrite them when dpre is the same buffer (c_in == c_out)
+            np.matmul(dcols, w_rot, out=dpre[rows])
         d_w = np.ascontiguousarray(
             m.reshape(KERNEL, KERNEL, c_out, c_in)[::-1, ::-1].transpose(3, 2, 0, 1)
         )
         conv_grads.append((d_w, d_b))
-        w_rot = w[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(KERNEL * KERNEL * c_out, c_in)
-        # dcols holds its own copy of dpre_flat, so the GEMM may overwrite it
-        dpre = _ws_buf(ws, ("dpre",), (n * N_CELLS + 1, c_in), dt)
-        np.matmul(dcols, w_rot, out=dpre[:-1])
 
     grads = []
     for d_w, d_b in reversed(conv_grads):
@@ -837,16 +864,20 @@ def train(
     for epoch in range(train_cfg.epochs):
         perm = shuffle_rng.permutation(n)
         total = 0.0
-        for step, start in enumerate(range(0, n, train_cfg.batch_size)):
-            idx = perm[start : start + train_cfg.batch_size]
-            entries = _batch_entries(cells, values, idx)
-            raw, cache = _forward_cached(params, entries, len(idx), ws)
-            loss, dout = loss_fn(raw, targets[idx])
-            if not np.isfinite(loss):
-                raise DivergenceDetectedError(epoch, step, loss)
-            grads = _backward_cached(params, cache, dout, ws)
-            adam_step(params, grads, state, train_cfg.learning_rate)
-            total += loss * len(idx)
+        # A diverging step overflows on its way to a non-finite loss, which
+        # the check below reports; NumPy's warnings would only say it first.
+        # errstate is per thread, so this holds in worker threads too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, start in enumerate(range(0, n, train_cfg.batch_size)):
+                idx = perm[start : start + train_cfg.batch_size]
+                entries = _batch_entries(cells, values, idx)
+                raw, cache = _forward_cached(params, entries, len(idx), ws)
+                loss, dout = loss_fn(raw, targets[idx])
+                if not np.isfinite(loss):
+                    raise DivergenceDetectedError(epoch, step, loss)
+                grads = _backward_cached(params, cache, dout, ws)
+                adam_step(params, grads, state, train_cfg.learning_rate)
+                total += loss * len(idx)
         trace.append(total / n)
         if on_epoch is not None and on_epoch(epoch, params, trace[-1]):
             break

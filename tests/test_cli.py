@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +524,25 @@ def test_divergence_in_a_thread_exits_3_with_failed_manifest(world, tmp_path, co
     assert error["class"] == "DivergenceDetectedError"
     assert isinstance(error["epoch"], int) and isinstance(error["step"], int)
     assert f"at epoch {error['epoch']}, step {error['step']};" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [["train"], ["screen", "--jobs", "1"], ["screen", "--jobs", "2"]])
+def test_divergence_prints_one_line(world, tmp_path, capfd, argv):
+    # the diverging steps overflow on their way to the non-finite loss;
+    # NumPy stays silent about it, in worker threads too, and the exit-3
+    # message is the only line on stderr
+    cfg = write_config(tmp_path / "cfg.json", train=dict(TINY_TRAIN, learning_rate=1e30),
+                       fold_size=12)
+    inputs = (["--data", str(world["sc"])] if argv[0] == "train"
+              else ["--sc", str(world["sc"]), "--cod", str(world["cod"])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--config", cfg, *inputs, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capfd.readouterr().err
+    assert err.startswith("scscreen: training diverged: non-finite loss ")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 class TestManifestConfig:

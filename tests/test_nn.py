@@ -372,6 +372,71 @@ def test_gradients_match_finite_differences(layers, channels, dense, head, loss_
     _gradcheck(cfg, head, loss_kind, n_batch=3, seed=seed * 11 + 5)
 
 
+def test_gradients_match_finite_differences_in_row_chunks(monkeypatch):
+    # a patch matrix of two rows' worth splits the three-row batch into
+    # chunks of 2 and 1 rows, forward and backward
+    monkeypatch.setattr(nn, "_PATCH_BYTES", 2 * N_CELLS * 9 * 4 * 8)
+    assert nn._patch_rows(4, np.float64) == 2
+    cfg = ModelConfig(conv_layers=3, channels_per_layer=4, dense_hidden=6, seed=2, dtype="float64")
+    _gradcheck(cfg, Head.REGRESSION, Loss.SMOOTH_L1, n_batch=3, seed=2 * 11 + 5)
+
+
+class TestRowChunks:
+    """Conv layers >= 1 build their patch matrices over chunks of whole rows,
+    each within _PATCH_BYTES; only the weight gradients' sums reassociate."""
+
+    @staticmethod
+    def _record_im2col(monkeypatch):
+        """(rows, channels) of every `_im2col` call from now on; each call
+        must fit its patch matrix within _PATCH_BYTES."""
+        calls = []
+        im2col = nn._im2col
+
+        def recorded(x, ws):
+            assert x.shape[0] <= nn._patch_rows(x.shape[3], x.dtype)
+            calls.append(x.shape[0::3])
+            return im2col(x, ws)
+
+        monkeypatch.setattr(nn, "_im2col", recorded)
+        return calls
+
+    def test_chunking_changes_only_rounding(self, monkeypatch):
+        cfg = ModelConfig(conv_layers=3, channels_per_layer=8, dense_hidden=5, seed=3,
+                          dtype="float64")
+        params = init_params(cfg)
+        rng = np.random.default_rng(0)
+        for a in params.arrays():
+            if a.ndim == 1:
+                a[...] = rng.normal(0.0, 0.05, a.shape)
+        batch = encode_ptable_batch(random_comps(rng, 37))
+        targets = rng.normal(0.0, 1.5, 37)
+        entries = nn._entries(batch, np.float64)
+        calls = self._record_im2col(monkeypatch)
+        cached, public, grads = {}, {}, {}
+        for rows in (1, 3, 64):
+            monkeypatch.setattr(nn, "_PATCH_BYTES", rows * N_CELLS * 9 * 8 * 8)
+            calls.clear()
+            cached[rows] = nn._forward_cached(params, entries, 37, {})[0].tobytes()
+            # 2 layers of ceil(37 / rows) chunks
+            assert len(calls) == 2 * -(-37 // min(rows, 37))
+            public[rows] = forward(params, batch)
+            grads[rows] = backward(params, batch, targets, Loss.SMOOTH_L1)
+        # every output row comes from GEMMs over the same rows and columns
+        assert cached[1] == cached[3] == cached[64]
+        for rows in (1, 3):
+            # public forward's inference chunks follow the patch rows too, and
+            # BLAS may sum a 1- or 3-row dense layer in another order
+            assert np.allclose(public[rows], public[64], rtol=1e-12, atol=0)
+            for got, one in zip(grads[rows], grads[64]):
+                assert np.all(np.abs(got - one) <= 1e-12 * np.abs(one).max())
+
+    def test_default_step_builds_16_row_patch_matrices(self, monkeypatch):
+        calls = self._record_im2col(monkeypatch)
+        train(toy_samples(32), ModelConfig(), TrainConfig(epochs=1))
+        # 8 layers x forward and backward x two 16-row chunks of 32 channels
+        assert calls == [(16, 32)] * (8 * 2 * 2)
+
+
 class TestBackwardStructure:
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_cfg(conv_layers=2, channels_per_layer=3, dense_hidden=4, seed=1)
@@ -741,6 +806,20 @@ class TestTrain:
             x = np.zeros((len(idx), 7, 32, 4), dtype)
             np.add.at(x.reshape(-1), flat, vals)
             assert x.tobytes() == dense[idx].tobytes()
+
+    @pytest.mark.parametrize("dtype,limit", [("float32", 18e6), ("float64", 30e6)])
+    def test_default_model_peak_memory(self, dtype, limit):
+        # every patch matrix stays within _PATCH_BYTES; one over a whole
+        # 32-row batch is 8.3 MB in float32 and 16.5 MB in float64, and a
+        # step that builds it peaks at 21.0 and 41.6 MB here
+        samples = [(c, 1.0) for c in random_comps(np.random.default_rng(0), 64)]
+        tracemalloc.start()
+        try:
+            train(samples, ModelConfig(dtype=dtype), TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{peak / 1e6:.1f} MB"
 
     def test_peak_memory_does_not_grow_with_rows(self):
         # training keeps each row's nonzero cells, not a dense 3,584 B row
