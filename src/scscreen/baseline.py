@@ -8,14 +8,13 @@ screening against the grid-encoding network on the same label tasks.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import write_csv
+from .dataset import csv_rows, write_csv
 from .errors import ShapeMismatchError
 from .ptable import ATOMIC_NUMBER, ELEMENTS
 
@@ -94,43 +93,37 @@ def write_feature_template(path) -> None:
 
 
 def load_element_features(path) -> dict[str, np.ndarray]:
-    """Read a populated feature CSV (UTF-8, BOM allowed) into {symbol: 32-vector}.
+    """Read a populated feature CSV (by `dataset.csv_rows`) into {symbol: 32-vector}.
 
     Rows with any blank cell are treated as not yet populated and skipped;
     compositions touching them fail later with MissingElementFeaturesError.
-    A file that is not UTF-8, a line the csv module cannot read, and a cell
-    that is not a finite number, is a ValueError naming it.
+    Read errors are `csv_rows`' SchemaMismatchError (a ValueError); a wrong
+    header, row width or symbol, or a cell that is not a finite number, is a
+    ValueError naming its line.
     """
     table: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as err:
-            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: not UTF-8 text: {err}") from None
-    if not rows or tuple(rows[0]) != ("symbol",) + FEATURE_NAMES:
+    rows = list(csv_rows(path))
+    if not rows or tuple(rows[0][1]) != ("symbol",) + FEATURE_NAMES:
         raise ValueError(f"{path}: header does not match the 32 feature names")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or not any(row):
+    for line, row in rows[1:]:
+        if not any(row):
             continue
         if len(row) != N_BASIC + 1:
-            raise ValueError(f"{path}:{lineno}: expected {N_BASIC + 1} cells, got {len(row)}")
+            raise ValueError(f"{path}:{line}: expected {N_BASIC + 1} cells, got {len(row)}")
         symbol = row[0]
         if symbol not in ATOMIC_NUMBER:
-            raise ValueError(f"{path}:{lineno}: unknown element {symbol!r}")
+            raise ValueError(f"{path}:{line}: unknown element {symbol!r}")
         if any(cell.strip() == "" for cell in row[1:]):
             continue
         try:
             vec = np.array([float(c) for c in row[1:]], dtype=np.float64)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{path}:{line}: {exc}") from None
         bad = np.flatnonzero(~np.isfinite(vec))
         if bad.size:
             j = int(bad[0])
             raise ValueError(
-                f"{path}:{lineno}: {FEATURE_NAMES[j]} must be finite, got {row[j + 1].strip()}"
+                f"{path}:{line}: {FEATURE_NAMES[j]} must be finite, got {row[j + 1].strip()}"
             )
         table[symbol] = vec
     return table

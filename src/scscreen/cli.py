@@ -4,13 +4,14 @@ Every file-producing subcommand works the same way: it creates the output
 directory, writes `manifest.json` there *first* (command echo, seeds,
 input fingerprints, library versions), then computes and writes result
 files next to it, and `main` ends the manifest as "ok", or as "failed"
-with the exit code and the error. `train`, `evaluate`, `screen`,
-`discover` and `baseline` all start through `_start`, which also reads
-the spec and the input tables; `inputs` are those tables cleaned as read,
-before any training filter. Each result path comes from
-`Manifest.output`, so the finished manifest lists exactly the files the
-run wrote. Reruns with the same inputs and seeds reproduce result files
-byte for byte; wall-clock timestamps live only in the manifest.
+with the exit code and the error. `dataset-build`, `train`, `evaluate`,
+`screen`, `discover` and `baseline` all start through `_start`, which also
+reads the spec and the input tables; each of `inputs` counts a table's rows
+and flagged rows as ingested and its records cleaned as read, before any
+training filter. Each result path comes from `Manifest.output`, so the
+finished manifest lists exactly the files the run wrote. Reruns with the
+same inputs and seeds reproduce result files byte for byte; wall-clock
+timestamps live only in the manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error (any ValueError
 or OSError), 3 numerical divergence. `--config`, `--seed`, `--out`, and `--jobs` can also be set
@@ -156,9 +157,12 @@ class Manifest:
         self.flush()
         args.manifest = self
 
-    def add_input(self, name: str, path, records) -> None:
+    def add_input(self, name: str, path, n_rows: int, n_flagged: int, records) -> None:
+        """Record a table's ingest counts and its cleaned `records`."""
         self.data["inputs"][name] = {
             "path": str(path),
+            "n_rows": n_rows,
+            "n_flagged": n_flagged,
             "n_records": len(records),
             "fingerprint": dataset_fingerprint(records),
         }
@@ -182,28 +186,32 @@ class Manifest:
         self.flush()
 
 
+# loaders return counts, not the report, so raw rows are freed before fingerprinting
 def _load_sc(path):
-    return clean_sc(ingest_csv(path, Source.SUPERCON).records)
+    report = ingest_csv(path, Source.SUPERCON)
+    return report.n_rows, report.n_flagged, clean_sc(report.records)
 
 
 def _load_cod(path):
-    return clean_catalogue(ingest_csv(path, Source.COD).records)
+    report = ingest_csv(path, Source.COD)
+    return report.n_rows, report.n_flagged, clean_catalogue(report.records)
 
 
 def _load_eval(path):
-    return ingest_csv(path, Source.EVAL_LIST).records
+    report = ingest_csv(path, Source.EVAL_LIST)
+    return report.n_rows, report.n_flagged, report.records
 
 
 _LOADERS = {"sc": _load_sc, "data": _load_sc, "cod": _load_cod, "eval": _load_eval}
 
 
 def _start(args, *names):
-    """Shared start of `train`, `evaluate`, `screen`, `discover` and
-    `baseline`: output directory and manifest; for a command with
-    `--config`, the spec with any `--seed` applied, echoed into the
+    """Shared start of `dataset-build`, `train`, `evaluate`, `screen`,
+    `discover` and `baseline`: output directory and manifest; for a command
+    with `--config`, the spec with any `--seed` applied, echoed into the
     manifest; then the table behind each named flag, cleaned as read (an
     unset flag gives None; an empty path is read, and fails, like any
-    other) and fingerprinted into the flushed manifest.
+    other), its counts and fingerprint recorded in the flushed manifest.
 
     Returns (manifest, spec or None, [one table per name])."""
     manifest = Manifest(args)
@@ -217,8 +225,8 @@ def _start(args, *names):
     for name in names:
         path, rows = getattr(args, name), None
         if path is not None:
-            rows = _LOADERS[name](path)
-            manifest.add_input(name, path, rows)
+            n_rows, n_flagged, rows = _LOADERS[name](path)
+            manifest.add_input(name, path, n_rows, n_flagged, rows)
         tables.append(rows)
     manifest.flush()
     return manifest, spec, tables
@@ -253,32 +261,17 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_dataset_build(args) -> int:
-    manifest = Manifest(args)
-
-    report = ingest_csv(args.sc, Source.SUPERCON)
-    sc = clean_sc(report.records)
-    manifest.add_input("sc", args.sc, sc)
+    manifest, _, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
+    inputs = manifest.data["inputs"]
+    counts = "{n_rows} rows, {n_flagged} flagged, {n_records} after cleaning"
     write_records_csv(sc, manifest.output("sc_clean.csv"))
-    print(
-        f"sc: {report.n_rows} rows, {report.n_flagged} flagged, "
-        f"{len(sc)} after cleaning"
-    )
-
-    if args.cod is not None:
-        report = ingest_csv(args.cod, Source.COD)
-        cod = clean_catalogue(report.records)
-        manifest.add_input("cod", args.cod, cod)
+    print(f"sc: {counts.format_map(inputs['sc'])}")
+    if cod is not None:
         write_records_csv(cod, manifest.output("catalogue_clean.csv"))
-        print(
-            f"catalogue: {report.n_rows} rows, {report.n_flagged} flagged, "
-            f"{len(cod)} after cleaning"
-        )
-    if args.eval is not None:
-        rows = _load_eval(args.eval)
-        manifest.add_input("eval", args.eval, rows)
-        write_records_csv(rows, manifest.output("eval_clean.csv"))
-        print(f"eval: {len(rows)} rows")
-
+        print(f"catalogue: {counts.format_map(inputs['cod'])}")
+    if eval_rows is not None:
+        write_records_csv(eval_rows, manifest.output("eval_clean.csv"))
+        print(f"eval: {len(eval_rows)} rows")
     return EXIT_OK
 
 

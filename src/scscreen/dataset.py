@@ -21,7 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,48 +102,54 @@ def make_record(
     return MaterialRecord(raw_formula, comp, tc_kelvin, year, source, None)
 
 
-def ingest_csv(path, source: Source) -> IngestReport:
-    """Read a formula/tc_K/year CSV (UTF-8, BOM allowed) into records.
-
-    Empty tc_K or year cells become None. A missing `formula` column is a
-    schema error; so are unparseable numeric cells, a negative or non-finite
-    tc_K, a line the csv module cannot read and a file that is not UTF-8
-    (bad data should fail loudly, bad formulas get flagged per row).
-    """
-    records: list[MaterialRecord] = []
-    n_rows = n_flagged = 0
+def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """Yield each row of an input table (UTF-8, BOM allowed), header first,
+    with the file line it ends on. A line the csv module cannot read, or a
+    file that is not UTF-8, is a SchemaMismatchError naming it."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader, None)
-            if header is None or "formula" not in header:
-                raise SchemaMismatchError(f"{path}: need a 'formula' column, got {header}")
-            # cells by column index, read as csv.DictReader would: blank lines
-            # skipped, a repeated name's last column, a short row's missing
-            # cells empty
-            column = {name: i for i, name in enumerate(header)}
-            at = [column.get(name) for name in ("formula", "tc_K", "year")]
             for row in reader:
-                if not row:
-                    continue
-                n_rows += 1
-                raw, tc_text, year_text = [
-                    row[i].strip() if i is not None and i < len(row) else "" for i in at
-                ]
-                try:
-                    tc = float(tc_text) if tc_text else None
-                    year = int(year_text) if year_text else None
-                    rec = make_record(raw, tc, year, source)
-                except ValueError as err:
-                    raise SchemaMismatchError(f"{path}:{reader.line_num}: {err}") from None
-                if rec.flagged_reason is not None:
-                    n_flagged += 1
-                records.append(rec)
+                yield reader.line_num, row
         except csv.Error as err:
             raise SchemaMismatchError(f"{path}:{reader.line_num}: {err}") from None
         except UnicodeDecodeError as err:
             raise SchemaMismatchError(f"{path}: not UTF-8 text: {err}") from None
-    return IngestReport(records, n_rows, n_rows - n_flagged, n_flagged)
+
+
+def ingest_csv(path, source: Source) -> IngestReport:
+    """Read a formula/tc_K/year CSV (by `csv_rows`) into records.
+
+    Empty tc_K or year cells become None. A missing `formula` column, an
+    unparseable numeric cell and a negative or non-finite tc_K are schema
+    errors (bad data fails loudly; bad formulas are flagged per row).
+    """
+    records: list[MaterialRecord] = []
+    n_flagged = 0
+    rows = csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header is None or "formula" not in header:
+        raise SchemaMismatchError(f"{path}: need a 'formula' column, got {header}")
+    # cells by column index, read as csv.DictReader would: blank lines skipped,
+    # a repeated name's last column, a short row's missing cells empty
+    column = {name: i for i, name in enumerate(header)}
+    at = [column.get(name) for name in ("formula", "tc_K", "year")]
+    for line, row in rows:
+        if not row:
+            continue
+        raw, tc_text, year_text = [
+            row[i].strip() if i is not None and i < len(row) else "" for i in at
+        ]
+        try:
+            tc = float(tc_text) if tc_text else None
+            year = int(year_text) if year_text else None
+            rec = make_record(raw, tc, year, source)
+        except ValueError as err:
+            raise SchemaMismatchError(f"{path}:{line}: {err}") from None
+        if rec.flagged_reason is not None:
+            n_flagged += 1
+        records.append(rec)
+    return IngestReport(records, len(records), len(records) - n_flagged, n_flagged)
 
 
 def _cell(value) -> str:

@@ -924,6 +924,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     with np.load(path) as data:
+        entries = set(data.files)
+        if "meta" not in entries:
+            raise ValueError("checkpoint entries: missing ['meta']")
         meta = json.loads(bytes(data["meta"]))
         if not isinstance(meta, dict):
             raise _mismatch("checkpoint", "object", meta)
@@ -938,6 +941,10 @@ def load_checkpoint(path) -> ModelParams:
             raise ValueError(f"checkpoint header lacks {sorted(missing)}")
         params = init_params(config_from_dict(ModelConfig, meta, "checkpoint"))
         arrays = params.arrays()
+        wanted = {"meta", *(f"array_{i}" for i in range(len(arrays)))}
+        if entries != wanted:
+            raise ValueError(f"checkpoint entries: missing {sorted(wanted - entries)}, "
+                             f"unexpected {sorted(entries - wanted)}")
         for i, a in enumerate(arrays):
             stored = data[f"array_{i}"]
             if stored.shape != a.shape:

@@ -194,6 +194,38 @@ class TestDatasetBuild:
         assert set(manifest["inputs"]) == {"sc", "cod"}
         assert len(manifest["inputs"]["sc"]["fingerprint"]) == 64
 
+    def test_dirty_world_bytes(self, tmp_path, capsys):
+        # a blank line, two-line quoted cells, flagged rows and duplicates
+        paths = {name: tmp_path / f"{name}.csv" for name in ("sc", "cod", "eval")}
+        paths["sc"].write_text(
+            'formula,tc_K,year\nNb3Sn,18.1,1954\nNbN,16,1941\n\n"Nb3\nSn",18.3,1960\n'
+            "MgB2,39,2001\nMgB2,38,2003\nMgB2,40,2002\nLa2-xSrxCuO4,38,1986\nQq7,5,\n"
+            "YBa2Cu3O7,,1987\n")
+        paths["cod"].write_text(
+            'formula,tc_K,year\nNaCl,,\nNaCl,,1990\nC6H6,,\nFe2O3,,1950\n"Al2\nO3",,\n'
+            "Xx2,,\nMgB2,,\n")
+        paths["eval"].write_text("formula,tc_K,year\nMgB2,39,2001\nQq7,,\n\nCaC6,11.5,2005\n")
+        out = tmp_path / "out"
+        assert main(["dataset-build", *(f"--{k}={v}" for k, v in paths.items()),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ("sc: 9 rows, 2 flagged, 3 after cleaning\n"
+                                           "catalogue: 7 rows, 1 flagged, 4 after cleaning\n"
+                                           "eval: 3 rows\n")
+        header = b"formula,tc_K,year,source,family,flagged_reason\r\n"
+        assert (out / "sc_clean.csv").read_bytes() == header + (
+            b"Nb3Sn,18.1,1954,supercon,conventional,\r\nNbN,16,1941,supercon,conventional,\r\n"
+            b"MgB2,39,2001,supercon,conventional,\r\n")
+        assert (out / "catalogue_clean.csv").read_bytes() == header + (
+            b"NaCl,,1990,cod,conventional,\r\nFe2O3,,1950,cod,conventional,\r\n"
+            b'"Al2\nO3",,,cod,conventional,\r\nMgB2,,,cod,conventional,\r\n')
+        assert (out / "eval_clean.csv").read_bytes() == header + (
+            b"MgB2,39,2001,eval_list,conventional,\r\nQq7,,,eval_list,,UnknownElementError\r\n"
+            b"CaC6,11.5,2005,eval_list,conventional,\r\n")
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert {name: (n["n_rows"], n["n_flagged"], n["n_records"])
+                for name, n in inputs.items()} == {"sc": (9, 2, 3), "cod": (7, 1, 4),
+                                                   "eval": (3, 1, 3)}
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["dataset-build", "--sc", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
@@ -502,10 +534,6 @@ class TestDiscover:
                 "substitute variables first") in capsys.readouterr().err
 
 
-# np.errstate does not reach worker threads, so their overflow warnings are
-# filtered instead
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["screen", "discover"])
 def test_divergence_in_a_thread_exits_3_with_failed_manifest(world, tmp_path, command):
     # with --jobs 2 the models train in worker threads; a divergence there
@@ -543,6 +571,49 @@ def test_divergence_prints_one_line(world, tmp_path, capfd, argv):
     err = capfd.readouterr().err
     assert err.startswith("scscreen: training diverged: non-finite loss ")
     assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("command", ["dataset-build", "train", "evaluate", "screen",
+                                     "discover", "baseline"])
+def test_every_input_counts_rows_flagged_and_records(world, tmp_path, capsys, command):
+    # the counts are those dataset-build prints for the same tables
+    sc = tmp_path / "sc_dirty.csv"
+    write_input_csv(sc, [*sc_world(), sc_world()[0],
+                         make_record("FeSe", 8.0, 2008, Source.SUPERCON),
+                         make_record("La2-xSrxCuO4", 38.0, 1986, Source.SUPERCON)])
+    cod = tmp_path / "cod_dirty.csv"
+    write_input_csv(cod, [*screen_cod(), screen_cod()[0],
+                          make_record("Qq7", None, 2006, Source.COD)])
+    tables = {"sc": sc, "cod": cod, "eval": world["eval"]}
+    assert main(["dataset-build", *(f"--{k}={v}" for k, v in tables.items()),
+                 "--out", str(tmp_path / "build")]) == 0
+    printed = re.findall(r"^(\w+): (\d+) rows(?:, (\d+) flagged, (\d+) after cleaning)?$",
+                         capsys.readouterr().out, re.MULTILINE)
+    assert [label for label, *_ in printed] == ["sc", "catalogue", "eval"]
+    expected = {name: (int(rows), int(flagged or 0), int(kept or rows))
+                for name, (_, rows, flagged, kept) in zip(tables, printed)}
+    assert expected["sc"][1] == 1 and expected["cod"][1] == 1  # the dirty rows count
+
+    cfg = write_config(tmp_path / "cfg.json", training_filter={"year_before": 2008},
+                       test_set="FESC", fold_size=12)
+    feats = tmp_path / "features.csv"
+    write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As", "Se"])
+    argv = {
+        "dataset-build": ["--sc", sc, "--cod", cod, "--eval", world["eval"]],
+        "train": ["--config", cfg, "--data", sc],
+        "evaluate": ["--config", cfg, "--sc", sc, "--cod", cod, "--eval", world["eval"]],
+        "screen": ["--config", cfg, "--sc", sc, "--cod", cod],
+        "discover": ["--config", cfg, "--sc", sc, "--cod", cod, "--eval", world["eval"]],
+        "baseline": ["--sc", sc, "--cod", cod, "--features", feats, "--trees", "5"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *map(str, argv), "--out", str(out)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    flags = {flag[2:] for flag in argv[::2] if flag[2:] in (*tables, "data")}
+    assert set(inputs) == flags
+    for name, entry in inputs.items():
+        counts = (entry["n_rows"], entry["n_flagged"], entry["n_records"])
+        assert counts == expected["sc" if name == "data" else name], name
 
 
 class TestManifestConfig:

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scscreen import dataset as ds
-from scscreen.baseline import FEATURE_NAMES, N_BASIC, write_feature_template
+from scscreen.baseline import (
+    FEATURE_NAMES,
+    N_BASIC,
+    load_element_features,
+    write_feature_template,
+)
 from scscreen.dataset import (
     FamilyLabel,
     FoldTooLargeError,
@@ -171,6 +176,41 @@ class TestIngest:
     def test_negative_tc_rejected_at_record_level(self):
         with pytest.raises(ValueError):
             MaterialRecord("X", None, -1.0, None, Source.SUPERCON)
+
+
+def _feature_row(symbol, first="1"):
+    return ",".join([symbol, first, *["1"] * (N_BASIC - 1)])
+
+
+# each table: its reader, header, a good row, a good row with a two-line
+# quoted cell, and a row with a bad number
+_TABLES = {
+    "records": (lambda path: ingest_csv(path, Source.SUPERCON),
+                ["formula,tc_K,year", "NbN,16,1941", '"Nb\nN",16,1941', "NbN,abc,1941"]),
+    "features": (load_element_features,
+                 [",".join(["symbol", *FEATURE_NAMES]), _feature_row("Nb"),
+                  _feature_row("Nb", '"1\n"'), _feature_row("Ta", "abc")]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+@pytest.mark.parametrize("case, expected", [
+    ("field-limit", ":3: field larger than field limit (131072)"),
+    ("not-utf8", ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    ("after-two-line-cell", ":4: could not convert string to float: 'abc'"),
+])
+def test_both_readers_name_the_same_file_line(tmp_path, table, case, expected):
+    # the feature table used to count rows, not lines, and say :3 for the last case
+    read, (header, good, two_line, bad) = _TABLES[table]
+    path = tmp_path / "table.csv"
+    path.write_bytes({
+        "field-limit": f"{header}\n{good}\n{'x' * 140_000}\n".encode(),
+        "not-utf8": f"{header}\n{good}\n".encode() + b"\xff\n",
+        "after-two-line-cell": f"{header}\n{two_line}\n{bad}\n".encode(),
+    }[case])
+    with pytest.raises(ValueError) as caught:
+        read(path)
+    assert str(caught.value).startswith(f"{path}{expected}")
 
 
 class TestDedup:

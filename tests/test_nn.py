@@ -1125,6 +1125,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint: expected object, got "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("drop, extra, message", [
+        ("meta", None, "missing ['meta']"),
+        ("array_3", None, "missing ['array_3'], unexpected []"),
+        (None, "array_4", "missing [], unexpected ['array_4']"),
+    ])
+    def test_missing_or_unexpected_entry_is_value_error_naming_it(self, tmp_path, drop, extra,
+                                                                  message):
+        # a missing entry used to raise a KeyError, an extra one to load silently
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_params(tiny_cfg()), path)  # meta and array_0 .. array_3
+        with np.load(path) as data:
+            entries = {k: data[k] for k in data.files if k != drop}
+        if extra is not None:
+            entries[extra] = np.zeros(1, dtype=np.float32)
+        np.savez(path, **entries)
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"checkpoint entries: {message}"
+
 
 class TestConfigSchema:
     @pytest.mark.parametrize(
