@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import csv_rows, write_csv
+from .dataset import SchemaMismatchError, csv_rows, write_csv
 from .errors import ShapeMismatchError
 from .ptable import ATOMIC_NUMBER, ELEMENTS
 
@@ -97,43 +97,35 @@ def load_element_features(path) -> dict[str, np.ndarray]:
 
     Rows with any blank cell are treated as not yet populated and skipped;
     compositions touching them fail later with MissingElementFeaturesError.
-    Read errors are `csv_rows`' SchemaMismatchError (a ValueError); a wrong
-    header, row width or symbol, or a cell that is not a finite number, is a
-    ValueError naming its line.
+    A read error, a wrong header, row width or symbol, or a cell that is not
+    a finite number is a SchemaMismatchError (a ValueError) naming its line.
     """
     table: dict[str, np.ndarray] = {}
     rows = list(csv_rows(path))
     if not rows or tuple(rows[0][1]) != ("symbol",) + FEATURE_NAMES:
-        raise ValueError(f"{path}: header does not match the 32 feature names")
+        raise SchemaMismatchError(f"{path}: header does not match the 32 feature names")
     for line, row in rows[1:]:
         if not any(row):
             continue
         if len(row) != N_BASIC + 1:
-            raise ValueError(f"{path}:{line}: expected {N_BASIC + 1} cells, got {len(row)}")
+            raise SchemaMismatchError(f"{path}:{line}: expected {N_BASIC + 1} cells, got {len(row)}")
         symbol = row[0]
         if symbol not in ATOMIC_NUMBER:
-            raise ValueError(f"{path}:{line}: unknown element {symbol!r}")
+            raise SchemaMismatchError(f"{path}:{line}: unknown element {symbol!r}")
         if any(cell.strip() == "" for cell in row[1:]):
             continue
         try:
             vec = np.array([float(c) for c in row[1:]], dtype=np.float64)
         except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
+            raise SchemaMismatchError(f"{path}:{line}: {exc}") from None
         bad = np.flatnonzero(~np.isfinite(vec))
         if bad.size:
             j = int(bad[0])
-            raise ValueError(
+            raise SchemaMismatchError(
                 f"{path}:{line}: {FEATURE_NAMES[j]} must be finite, got {row[j + 1].strip()}"
             )
         table[symbol] = vec
     return table
-
-
-def aggregate_features(
-    composition: Mapping[str, float], table: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    """The 256-vector of one composition; see `aggregate_features_batch`."""
-    return aggregate_features_batch([composition], table)[0]
 
 
 def aggregate_features_batch(

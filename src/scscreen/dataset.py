@@ -21,6 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -104,13 +105,20 @@ def make_record(
 
 def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
     """Yield each row of an input table (UTF-8, BOM allowed), header first,
-    with the file line it ends on. A line the csv module cannot read, or a
-    file that is not UTF-8, is a SchemaMismatchError naming it."""
+    with the file line it ends on. A line the csv module cannot read, a file
+    that is not UTF-8, or a quoted cell still open at its end is a
+    SchemaMismatchError naming the line (for the open cell, its row's first)."""
     with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
+        eof: list[bool] = []  # marked when the reader asks for a line past the last
+        reader = csv.reader(chain(f, iter(lambda: eof.append(True), None)))
+        line = 0
         try:
             for row in reader:
-                yield reader.line_num, row
+                # only a quoted cell left open reads a row on past the last line
+                if eof:
+                    raise SchemaMismatchError(f"{path}:{line + 1}: quoted cell is never closed")
+                line = reader.line_num
+                yield line, row
         except csv.Error as err:
             raise SchemaMismatchError(f"{path}:{reader.line_num}: {err}") from None
         except UnicodeDecodeError as err:

@@ -12,7 +12,7 @@ precision; roughly halves wall time on BLAS); set ModelConfig.dtype to
 "float64" for gradient-verification work. Losses and target transforms
 always compute in float64 regardless.
 
-Array layout: the public interface speaks (batch, 4, 7, 32) channel-first
+Array layout: `forward` and `backward` take (batch, 4, 7, 32) channel-first
 tensors, matching the encoder; internally activations run channel-last
 (batch, 7, 32, C) so the im2col matrices feed BLAS without extra transposes.
 Convolution weights are (c_in, c_out, 3, 3); dense weights are
@@ -43,14 +43,15 @@ and backward GEMMs over chunks of that many whole rows. The forward and
 input-gradient GEMMs give each row the same bits as one GEMM over the
 batch would; the weight gradient sums the chunks' GEMMs, so a batch of
 more than one chunk changes it only by rounding. `forward` and `predict`
-take their rows in chunks and forward each chunk's cells as a full batch
-on one workspace (a short last chunk fills up with empty rows). A chunk
-has _INFER_ROWS rows, or, for a model with two or more conv layers, as
-many as `_patch_rows` allows; since nothing runs backward, the layers
-write their outputs to two alternating buffers. So their scratch memory
-does not grow with the number of rows (only `predict`'s encoded rows do,
-at about k × 12 B each), and every GEMM has one shape for the model,
-which makes a row's prediction independent of how many rows the call has.
+share one inference loop over `EncodedRows`: it gathers the rows in chunks
+and forwards each chunk's cells as a full batch on one workspace (a short
+last chunk fills up with empty rows). A chunk has _INFER_ROWS rows, or, for
+a model with two or more conv layers, as many as `_patch_rows` allows;
+since nothing runs backward, the layers write their outputs to two
+alternating buffers. So their scratch memory does not grow with the number
+of rows (only the encoded rows do, at about k × 12 B each), and every GEMM
+has one shape for the model, which makes a row's prediction independent of
+how many rows the call has.
 
 `encode_rows` turns compositions into `EncodedRows`: each row's nonzero
 cells (index and value) in two (n, k) arrays, about k × 12 B per row for k
@@ -500,7 +501,7 @@ def _forward_cached(params: ModelParams, entries, n: int, ws: dict, infer: bool 
     backward pass needs: layer 0's taps and every conv layer's rectified
     output (n * 224, c_out), which is also the next layer's input and
     gives the rectifier's mask (output > 0). Rows without entries are
-    empty rows: `_forward_chunks` fills a short last chunk with them. Each
+    empty rows: `_forward_rows` fills a short last chunk with them. Each
     layer after the first runs over chunks of `_patch_rows` whole rows.
 
     With `infer`, layer i writes its output to workspace buffer i % 2, so
@@ -532,30 +533,30 @@ def _forward_cached(params: ModelParams, entries, n: int, ws: dict, infer: bool 
     return raw, (g, h, taps, outs)
 
 
-def _forward_chunks(
-    params: ModelParams, n: int, chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Raw head outputs of n rows; `chunk(lo, hi)` returns the layer-0
-    entries of rows lo:hi, in the model's dtype, as rows 0 to hi - lo - 1.
+def _forward_rows(params: ModelParams, rows: EncodedRows) -> np.ndarray:
+    """Raw head outputs of `rows`, in the model's dtype.
 
-    Each chunk's nonzero cells are forwarded as a full batch of `rows`
-    rows through one workspace that holds two layer outputs, and the first
-    hi - lo outputs are kept; a short last chunk forwards empty rows after
-    its own and drops them. So every GEMM has one shape for the model, and
-    a row's output does not depend on n. A model with a patch matrix (two
-    or more conv layers) takes as many rows, up to _INFER_ROWS, as
-    `_patch_rows` allows, so each layer builds one patch matrix per chunk.
+    The rows are gathered chunk by chunk (`_batch_entries`), and each
+    chunk's cells are forwarded as a full batch of `step` rows through one
+    workspace that holds two layer outputs; a short last chunk forwards
+    empty rows after its own and drops them. So every GEMM has one shape
+    for the model, and a row's output does not depend on how many rows
+    there are. A model with a patch matrix (two or more conv layers) takes
+    as many rows, up to _INFER_ROWS, as `_patch_rows` allows, so each layer
+    builds one patch matrix per chunk.
     """
     cfg = params.config
     dt = cfg.np_dtype
-    rows = _INFER_ROWS
+    step = _INFER_ROWS
     if cfg.conv_layers > 1:
-        rows = min(rows, _patch_rows(cfg.channels_per_layer, dt))
-    raw = np.empty(n, dtype=dt)
+        step = min(step, _patch_rows(cfg.channels_per_layer, dt))
+    raw = np.empty(len(rows), dtype=dt)
     ws: dict = {}
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        raw[lo:hi] = _forward_cached(params, chunk(lo, hi), rows, ws, infer=True)[0][: hi - lo]
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        flat, vals = _batch_entries(rows.cells, rows.values, np.arange(lo, hi))
+        entries = (flat, vals.astype(dt, copy=False))
+        raw[lo:hi] = _forward_cached(params, entries, step, ws, infer=True)[0][: hi - lo]
     return raw
 
 
@@ -564,7 +565,7 @@ def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     transformed target space, or logits."""
     x = _check_batch(batch)
     dt = params.config.np_dtype
-    return _forward_chunks(params, x.shape[0], lambda lo, hi: _entries(x[lo:hi], dt))
+    return _forward_rows(params, _rows([_entries(x, dt)], len(x), dt))
 
 
 def _backward_cached(params: ModelParams, cache, dout: np.ndarray, ws: dict) -> list:
@@ -790,12 +791,19 @@ def encode_rows(compositions: Sequence[Mapping[str, float]], dtype) -> EncodedRo
         _entries(encode_ptable_batch(comps[lo : lo + _INFER_ROWS]), dtype, lo)
         for lo in range(0, len(comps), _INFER_ROWS)
     ]
+    return _rows(chunks, len(comps), dtype)
+
+
+def _rows(chunks: list, n: int, dtype) -> EncodedRows:
+    """The `EncodedRows` of n rows given as chunks of layer-0 entries with
+    values in `dtype` (flat = row * TENSOR_SIZE + cell, in row order), each
+    row's cells in entry order."""
     row, cell = np.divmod(np.concatenate([flat for flat, _ in chunks]), TENSOR_SIZE)
-    counts = np.bincount(row, minlength=len(comps))
+    counts = np.bincount(row, minlength=n)
     k = max(int(counts.max()), 1)
     rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
-    cells = np.zeros((len(comps), k), np.intp)
-    values = np.zeros((len(comps), k), dtype)
+    cells = np.zeros((n, k), np.intp)
+    values = np.zeros((n, k), dtype)
     cells[row, rank] = cell
     values[row, rank] = np.concatenate([vals for _, vals in chunks])
     return EncodedRows(cells, values)
@@ -892,18 +900,9 @@ def predict(
     probability (BINARY_LOGIT) for each composition, or each row of
     `encode_rows` output; both forms give the same bits. Compositions are
     encoded by `encode_rows` first, so both take one path."""
-    n = len(compositions)
-    if n == 0:
-        return np.zeros(0)
-    dt = params.config.np_dtype
-    encoded = isinstance(compositions, EncodedRows)
-    rows = compositions if encoded else encode_rows(compositions, dt)
-
-    def chunk(lo, hi):
-        flat, vals = _batch_entries(rows.cells, rows.values, np.arange(lo, hi))
-        return flat, vals.astype(dt, copy=False)
-
-    raw = _forward_chunks(params, n, chunk).astype(np.float64)
+    if not isinstance(compositions, EncodedRows):
+        compositions = encode_rows(compositions, params.config.np_dtype)
+    raw = _forward_rows(params, compositions).astype(np.float64)
     if params.config.head is Head.REGRESSION:
         kelvin = inverse_tc_transform(raw, params.config.tc_transform)
         return np.maximum(kelvin, 0.0)

@@ -18,7 +18,7 @@ import pytest
 
 from scscreen.baseline import (
     N_BASIC,
-    aggregate_features,
+    aggregate_features_batch,
     predict_forest,
     train_forest,
 )
@@ -530,7 +530,7 @@ def test_c10_forest_separates_and_aggregation_is_exact():
     assert accuracy >= 0.95
 
     table = {"Al": np.zeros(N_BASIC), "Cu": np.full(N_BASIC, 10.0)}
-    vec = aggregate_features(normalize({"Al": 1.0, "Cu": 1.0}), table)
+    vec = aggregate_features_batch([normalize({"Al": 1.0, "Cu": 1.0})], table)[0]
     n = N_BASIC
     assert np.array_equal(vec[0 * n:1 * n], np.full(n, 5.0))   # weighted average
     assert np.array_equal(vec[1 * n:2 * n], np.full(n, 25.0))  # weighted variance

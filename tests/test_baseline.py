@@ -20,13 +20,13 @@ from scscreen.baseline import (
     _best_split,
     _grow_tree,
     _tree_votes,
-    aggregate_features,
     aggregate_features_batch,
     load_element_features,
     predict_forest,
     train_forest,
     write_feature_template,
 )
+from scscreen.dataset import SchemaMismatchError
 from scscreen.formula import normalize
 from scscreen.ptable import ATOMIC_NUMBER, ELEMENTS, SYMBOLS
 
@@ -80,7 +80,7 @@ class TestAggregate:
     def test_even_split_hand_arithmetic(self):
         comp = normalize({"Al": 1.0, "Cu": 1.0})  # 0.5 / 0.5
         table = table_for({"Al": 0.0, "Cu": 10.0})
-        out = aggregate_features(comp, table)
+        out = aggregate_features_batch([comp], table)[0]
         assert out.shape == (256,)
         avg, var, mx, mn, rng_, mode, med, mad = out.reshape(8, 32)
         assert np.allclose(avg, 5.0)
@@ -95,7 +95,7 @@ class TestAggregate:
         assert np.allclose(med, 0.0)
 
     def test_single_element_degenerate(self):
-        out = aggregate_features(normalize({"Nb": 2.0}), table_for({"Nb": 7.5}))
+        out = aggregate_features_batch([normalize({"Nb": 2.0})], table_for({"Nb": 7.5}))[0]
         avg, var, mx, mn, rng_, mode, med, mad = out.reshape(8, 32)
         for block in (avg, mx, mn, mode, med):
             assert np.allclose(block, 7.5)
@@ -104,13 +104,13 @@ class TestAggregate:
 
     def test_mode_follows_largest_fraction(self):
         comp = normalize({"Al": 1.0, "Cu": 3.0})
-        out = aggregate_features(comp, table_for({"Al": 0.0, "Cu": 10.0}))
+        out = aggregate_features_batch([comp], table_for({"Al": 0.0, "Cu": 10.0}))[0]
         mode = out.reshape(8, 32)[5]
         assert np.allclose(mode, 10.0)
 
     def test_weighted_median_majority_side(self):
         comp = normalize({"Al": 1.0, "Cu": 3.0})  # 0.25 / 0.75
-        out = aggregate_features(comp, table_for({"Al": 0.0, "Cu": 10.0}))
+        out = aggregate_features_batch([comp], table_for({"Al": 0.0, "Cu": 10.0}))[0]
         med = out.reshape(8, 32)[6]
         assert np.allclose(med, 10.0)
 
@@ -118,19 +118,19 @@ class TestAggregate:
         # distinct per-feature values: j-th basic feature of the only element
         # is j, so the weighted-average block must read 0..31 in order
         table = {"Nb": np.arange(32, dtype=float)}
-        out = aggregate_features(normalize({"Nb": 1.0}), table)
+        out = aggregate_features_batch([normalize({"Nb": 1.0})], table)[0]
         assert np.array_equal(out[:32], np.arange(32))
         assert np.array_equal(out[2 * 32 : 3 * 32], np.arange(32))  # maxima too
 
     def test_three_element_weighted_average(self):
         comp = normalize({"H": 1.0, "O": 2.0, "Fe": 1.0})
         table = table_for({"H": 4.0, "O": 1.0, "Fe": 10.0})
-        out = aggregate_features(comp, table)
+        out = aggregate_features_batch([comp], table)[0]
         assert np.allclose(out[:32], 0.25 * 4 + 0.5 * 1 + 0.25 * 10)
 
     def test_missing_element(self):
         with pytest.raises(MissingElementFeaturesError):
-            aggregate_features(normalize({"Nb": 1.0, "Ti": 1.0}), table_for({"Nb": 1.0}))
+            aggregate_features_batch([normalize({"Nb": 1.0, "Ti": 1.0})], table_for({"Nb": 1.0}))
 
     def test_every_missing_element_named_once_by_atomic_number(self):
         table = table_for({"Nb": 1.0, "Sn": 2.0})
@@ -148,7 +148,7 @@ class TestAggregate:
         comps = [normalize({"Nb": 1.0}), normalize({"Ti": 1.0})]
         batch = aggregate_features_batch(comps, table)
         assert batch.shape == (2, 256)
-        assert np.array_equal(batch[0], aggregate_features(comps[0], table))
+        assert np.array_equal(batch[0], aggregate_features_batch(comps[:1], table)[0])
 
     @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=2**31))
@@ -159,7 +159,7 @@ class TestAggregate:
         symbols = list(rng.choice(pool, size=k, replace=False))
         comp = normalize({s: float(w) for s, w in zip(symbols, rng.random(k) + 0.05)})
         table = {s: rng.normal(0, 10, N_BASIC) for s in symbols}
-        out = aggregate_features(comp, table)
+        out = aggregate_features_batch([comp], table)[0]
         assert out.shape == (256,) and np.isfinite(out).all()
         avg, var, mx, mn, rng_, mode, med, mad = out.reshape(8, 32)
         assert np.all(mn <= med) and np.all(med <= mx)
@@ -229,7 +229,14 @@ class TestFeatureCsv:
     def test_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("symbol,Weight\nNb,1\n")
-        with pytest.raises(ValueError):
+        message = f"{path}: header does not match the 32 feature names"
+        with pytest.raises(SchemaMismatchError, match=re.escape(message)):
+            load_element_features(path)
+
+    def test_row_width_must_match(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("symbol," + ",".join(FEATURE_NAMES) + "\nNb,1,2\n")
+        with pytest.raises(SchemaMismatchError, match=re.escape(f"{path}:2: expected 33 cells, got 3")):
             load_element_features(path)
 
     def test_byte_order_mark_is_accepted(self, tmp_path):
@@ -249,7 +256,7 @@ class TestFeatureCsv:
         path.write_text(
             "symbol," + ",".join(FEATURE_NAMES) + "\nQQ," + ",".join(["1"] * 32) + "\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaMismatchError, match=re.escape(f"{path}:2: unknown element 'QQ'")):
             load_element_features(path)
 
     def test_bad_number_rejected(self, tmp_path):
@@ -257,7 +264,8 @@ class TestFeatureCsv:
         path.write_text(
             "symbol," + ",".join(FEATURE_NAMES) + "\nNb," + ",".join(["x"] * 32) + "\n"
         )
-        with pytest.raises(ValueError):
+        message = f"{path}:2: could not convert string to float: 'x'"
+        with pytest.raises(SchemaMismatchError, match=re.escape(message)):
             load_element_features(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
@@ -269,7 +277,7 @@ class TestFeatureCsv:
             "symbol," + ",".join(FEATURE_NAMES) + "\nNb," + ",".join(["2"] * 32)
             + "\nTi," + ",".join(cells) + "\n"
         )
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(SchemaMismatchError) as err:
             load_element_features(path)
         assert str(err.value) == f"{path}:3: GSbandgap must be finite, got {cell}"
 

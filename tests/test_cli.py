@@ -256,6 +256,16 @@ class TestDatasetBuild:
         err = capsys.readouterr().err
         assert f"{big}:3: field larger than field limit" in err
 
+    def test_open_quoted_cell_is_data_error_naming_its_row(self, tmp_path, capsys):
+        # it used to build "sc: 2 rows, 1 flagged" and exit 0
+        sc = tmp_path / "sc.csv"
+        sc.write_text('formula,tc_K,year\nNb3Sn,18,1954\n"NbN,16,1941\n'
+                      + "MgB2,39,2001\n" * 500)
+        out = tmp_path / "out"
+        assert main(["dataset-build", "--sc", str(sc), "--out", str(out)]) == 2
+        assert f"{sc}:3: quoted cell is never closed" in capsys.readouterr().err
+        assert not (out / "sc_clean.csv").exists()
+
     def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
         # the BOM used to glue onto the header: "need a 'formula' column, got ['\ufeffformula', ...]"
         sc = tmp_path / "sc.csv"
@@ -806,6 +816,8 @@ class TestBaseline:
         err = capsys.readouterr().err
         assert f"{feats}:2: DipolePolarizability must be finite, got nan" in err
         assert not (world["out"] / "baseline_report.csv").exists()
+        manifest = json.loads((world["out"] / "manifest.json").read_text())
+        assert manifest["error"]["class"] == "SchemaMismatchError"
 
     def test_no_usable_rows_is_data_error_naming_the_inputs(self, tmp_path, capsys):
         # every formula is flagged, so cleaning leaves nothing to featurize

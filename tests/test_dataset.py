@@ -213,6 +213,24 @@ def test_both_readers_name_the_same_file_line(tmp_path, table, case, expected):
     assert str(caught.value).startswith(f"{path}{expected}")
 
 
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_open_quoted_cell_fails_naming_the_line_its_row_began_on(tmp_path, table):
+    # the quote opened on line 3 used to swallow the rest of the file into one cell
+    read, (header, good, _, _) = _TABLES[table]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{good}\n\"{good}\n" + f"{good}\n" * 500)
+    with pytest.raises(SchemaMismatchError) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}:3: quoted cell is never closed"
+
+
+def test_text_after_a_closing_quote_still_joins_the_cell(tmp_path):
+    path = tmp_path / "sc.csv"
+    path.write_text('formula,tc_K,year\n"Nb"Ti,9,1962\n"Nb""x",1,\n')
+    got = [r.raw_formula for r in ingest_csv(path, Source.SUPERCON).records]
+    assert got == ["NbTi", 'Nb"x']
+
+
 class TestDedup:
     def test_odd_median(self):
         rows = [rec("NbN", 10.0, 1950), rec("NbN", 12.0, 1941), rec("NbN", 20.0, 1960)]

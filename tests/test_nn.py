@@ -864,8 +864,11 @@ class TestPredict:
         assert abs(out[0] - 4.0) < 1e-5
 
     def test_empty_input(self):
-        params = init_params(tiny_cfg())
-        assert predict(params, []).shape == (0,)
+        for head in Head:
+            params = init_params(tiny_cfg(head=head, dtype="float32"))
+            for rows in ([], nn.encode_rows([], params.config.np_dtype)):
+                out = predict(params, rows)
+                assert out.shape == (0,) and out.dtype == np.float64
 
     def test_peak_memory_does_not_grow_with_rows(self):
         # predict runs fixed chunks through one workspace, so its peak is a
