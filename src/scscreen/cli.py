@@ -4,13 +4,13 @@ Every file-producing subcommand works the same way: it creates the output
 directory, writes `manifest.json` there *first* (command echo, seeds,
 input fingerprints, library versions), then computes and writes result
 files next to it, and `main` ends the manifest as "ok", or as "failed"
-with the exit code and the error. `dataset-build`, `train`, `evaluate`,
-`screen`, `discover` and `baseline` all start through `_start`, which also
-reads the spec and the input tables; each of `inputs` counts a table's rows
-and flagged rows as ingested and its records cleaned as read, before any
-training filter. Each result path comes from `Manifest.output`, so the
-finished manifest lists exactly the files the run wrote. Reruns with the
-same inputs and seeds reproduce result files byte for byte; wall-clock
+with the exit code and the error. `encode`, `dataset-build`, `train`,
+`evaluate`, `screen`, `discover` and `baseline` all start through `_start`,
+which also reads the spec and the input tables; each of `inputs` counts a
+table's rows and flagged rows as ingested and its records cleaned as read,
+before any training filter. Each result path comes from `Manifest.output`,
+so the finished manifest lists exactly the files the run wrote. Reruns with
+the same inputs and seeds reproduce result files byte for byte; wall-clock
 timestamps live only in the manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error (any ValueError
@@ -206,12 +206,12 @@ _LOADERS = {"sc": _load_sc, "data": _load_sc, "cod": _load_cod, "eval": _load_ev
 
 
 def _start(args, *names):
-    """Shared start of `dataset-build`, `train`, `evaluate`, `screen`,
-    `discover` and `baseline`: output directory and manifest; for a command
-    with `--config`, the spec with any `--seed` applied, echoed into the
-    manifest; then the table behind each named flag, cleaned as read (an
-    unset flag gives None; an empty path is read, and fails, like any
-    other), its counts and fingerprint recorded in the flushed manifest.
+    """Shared start of `encode`, `dataset-build`, `train`, `evaluate`,
+    `screen`, `discover` and `baseline`: output directory and manifest; for
+    a command with `--config`, the spec with any `--seed` applied, echoed
+    into the manifest; then the table behind each named flag, cleaned as
+    read (an unset flag gives None; an empty path is read, and fails, like
+    any other), its counts and fingerprint recorded in the flushed manifest.
 
     Returns (manifest, spec or None, [one table per name])."""
     manifest = Manifest(args)
@@ -236,17 +236,16 @@ def _start(args, *names):
 # subcommands
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> None:
     comp = parse_composition(args.formula)
     if args.json:
         print(json.dumps({el: frac for el, frac in comp.items()}))
     else:
         print(" ".join(f"{el}:{frac:.9g}" for el, frac in comp.items()))
-    return EXIT_OK
 
 
-def _cmd_encode(args) -> int:
-    manifest = Manifest(args)
+def _cmd_encode(args) -> None:
+    manifest, _, _ = _start(args)
     tensor = encode_ptable(parse_composition(args.formula))
     path = manifest.output("tensor.csv")
     with open(path, "w") as f:
@@ -257,10 +256,9 @@ def _cmd_encode(args) -> int:
                     value = tensor[block.value, row, col]
                     f.write(f"{block.name},{row + 1},{col + 1},{value:.9g}\n")
     print(path)
-    return EXIT_OK
 
 
-def _cmd_dataset_build(args) -> int:
+def _cmd_dataset_build(args) -> None:
     manifest, _, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
     inputs = manifest.data["inputs"]
     counts = "{n_rows} rows, {n_flagged} flagged, {n_records} after cleaning"
@@ -272,10 +270,9 @@ def _cmd_dataset_build(args) -> int:
     if eval_rows is not None:
         write_records_csv(eval_rows, manifest.output("eval_clean.csv"))
         print(f"eval: {len(eval_rows)} rows")
-    return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     manifest, spec, (rows,) = _start(args, "data")
     rows = spec.training_filter.apply(rows)
     samples = [(r.composition, r.tc_kelvin) for r in rows]
@@ -287,18 +284,16 @@ def _cmd_train(args) -> int:
             f.write(f"{epoch},{loss:.9g}\n")
     final = f"{trace[-1]:.9g}" if trace else "n/a"
     print(f"trained on {len(samples)} samples for {len(trace)} epochs, final loss {final}")
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     manifest, spec, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
     reports = run_temporal_eval(sc, cod, eval_rows, spec)
     write_reports_csv(reports, manifest.output("reports.csv"))
     print(report_table_text(reports))
-    return EXIT_OK
 
 
-def _cmd_screen(args) -> int:
+def _cmd_screen(args) -> None:
     manifest, spec, (sc, cod) = _start(args, "sc", "cod")
     result = run_candidate_screen(sc, cod, spec, jobs=args.jobs)
     write_candidates_csv(result, manifest.output("candidates.csv"))
@@ -309,10 +304,9 @@ def _cmd_screen(args) -> int:
     )
     for threshold, count in result.threshold_counts:
         print(f"  predicted above {threshold:g} K: {count}")
-    return EXIT_OK
 
 
-def _cmd_discover(args) -> int:
+def _cmd_discover(args) -> None:
     manifest, spec, (sc, cod, eval_rows) = _start(args, "sc", "cod", "eval")
     result = run_family_discovery(sc, cod, spec, eval_list=eval_rows, jobs=args.jobs)
     write_runs_csv(result, manifest.output("runs.csv"))
@@ -323,14 +317,13 @@ def _cmd_discover(args) -> int:
         f"held-out materials, predicted-positive counts "
         f"min {min(positives)} / max {max(positives)}"
     )
-    return EXIT_OK
 
 
-def _cmd_baseline(args) -> int:
+def _cmd_baseline(args) -> None:
     if args.template:
         write_feature_template(args.template)
         print(args.template)
-        return EXIT_OK
+        return
     for name in ("sc", "cod", "features"):
         if getattr(args, name) is None:
             raise _UsageError(f"--{name} is required (unless --template is given)")
@@ -360,7 +353,6 @@ def _cmd_baseline(args) -> int:
     report = confusion_counts(pred == 1, truth, args.threshold, float(truth.mean()))
     write_reports_csv([report], manifest.output("baseline_report.csv"))
     print(report_table_text([report], labels=[f"forest @ {args.threshold:g} K"]))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +459,10 @@ def main(argv=None) -> int:
         print(f"scscreen: bad environment override: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code = args.func(args)
+        args.func(args)
         if hasattr(args, "manifest"):
             args.manifest.finish()
-        return code
+        return EXIT_OK
     except _UsageError as err:
         print(f"scscreen: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -120,7 +120,7 @@ def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
                 line = reader.line_num
                 yield line, row
         except csv.Error as err:
-            raise SchemaMismatchError(f"{path}:{reader.line_num}: {err}") from None
+            raise SchemaMismatchError(f"{path}:{line + 1}: {err}") from None
         except UnicodeDecodeError as err:
             raise SchemaMismatchError(f"{path}: not UTF-8 text: {err}") from None
 

@@ -337,6 +337,8 @@ _KEY_SCALE = 10**6  # Composition.key() resolution: fractions in steps of 1e-6
 class Composition(Mapping):
     """An immutable normalized composition: molar fractions that sum to 1.
 
+    Made by `parse_composition` or `normalize` (`Composition(...)` takes no
+    arguments); copy, deepcopy and pickle restore its fractions exactly.
     Iteration order is by atomic number. Identity is `key()`: the same
     elements with every fraction rounded to the same multiple of 1e-6.
     Equality, hashing, dedup, overlap removal, training-filter removal and
@@ -348,19 +350,6 @@ class Composition(Mapping):
     """
 
     __slots__ = ("_fractions", "_formula", "_hash")
-
-    def __init__(self, fractions: Mapping[str, float]):
-        if not fractions:
-            raise EmptyCountsError("a composition needs at least one element")
-        checked = {}
-        for symbol, fraction in fractions.items():
-            if symbol not in ATOMIC_NUMBER:
-                raise UnknownElementError(str(symbol), 0, str(symbol))
-            f = float(fraction)
-            if not math.isfinite(f) or f <= 0.0:
-                raise NonPositiveCountError(str(symbol), symbol, f)
-            checked[symbol] = f
-        self._set(checked)
 
     @classmethod
     def _from_counts(cls, counts: dict[str, float], shown: Mapping | None = None) -> Composition:
@@ -380,26 +369,29 @@ class Composition(Mapping):
             if f <= 0.0:  # underflow
                 raise NonPositiveCountError(symbol, symbol, f)
             fractions[symbol] = f
-        self = object.__new__(cls)
-        self._set(fractions)
-        return self
+        return cls._of(fractions)
 
-    def _set(self, fractions: dict[str, float]) -> None:
+    @classmethod
+    def _of(cls, fractions: dict[str, float]) -> Composition:
+        """The composition of these exact fractions, never renormalized:
+        what `_from_counts` builds and what copy and pickle restore."""
         total = math.fsum(fractions.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"fractions sum to {total!r}, not 1")
+        self = object.__new__(cls)
         ordered = {s: fractions[s] for s in sorted(fractions, key=ATOMIC_NUMBER.__getitem__)}
         object.__setattr__(self, "_fractions", ordered)
         object.__setattr__(self, "_formula", None)
         object.__setattr__(self, "_hash", hash(self.key()))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Composition is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__; the hash is recomputed,
-        # since string hashes differ between processes
-        return (Composition, (dict(self._fractions),))
+        # copy and pickle restore the stored fractions bit for bit; the hash
+        # is recomputed, since string hashes differ between processes
+        return (Composition._of, (dict(self._fractions),))
 
     def __getitem__(self, symbol: str) -> float:
         return self._fractions[symbol]

@@ -224,6 +224,16 @@ def test_open_quoted_cell_fails_naming_the_line_its_row_began_on(tmp_path, table
     assert str(caught.value) == f"{path}:3: quoted cell is never closed"
 
 
+def test_field_limit_in_an_open_quoted_cell_names_the_line_its_row_began_on(tmp_path):
+    # the swallowed tail passes the csv module's field limit thousands of
+    # lines after the quote opened, and long before the file ends
+    path = tmp_path / "sc.csv"
+    path.write_text('formula,tc_K,year\nMgB2,39,2001\n"NbN,16,1941\n' + "MgB2,39,2001\n" * 12_000)
+    with pytest.raises(SchemaMismatchError) as caught:
+        ingest_csv(path, Source.SUPERCON)
+    assert str(caught.value) == f"{path}:3: field larger than field limit (131072)"
+
+
 def test_text_after_a_closing_quote_still_joins_the_cell(tmp_path):
     path = tmp_path / "sc.csv"
     path.write_text('formula,tc_K,year\n"Nb"Ti,9,1962\n"Nb""x",1,\n')

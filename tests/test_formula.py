@@ -258,8 +258,14 @@ class TestNormalize:
         assert type(info.value) is error and message in str(info.value)
 
     def test_composition_validates_sum(self):
-        with pytest.raises(ValueError):
-            Composition({"H": 0.3, "O": 0.3})
+        # the restore path takes its fractions from a pickle, so it checks them
+        with pytest.raises(ValueError, match="fractions sum to 0.6, not 1"):
+            Composition._of({"H": 0.3, "O": 0.3})
+
+    def test_composition_is_not_built_directly(self):
+        # parse_composition and normalize are the ways in
+        with pytest.raises(TypeError, match=r"Composition\(\) takes no arguments"):
+            Composition({"H": 0.5, "O": 0.5})
 
     def test_canonical_order_is_atomic_number(self):
         c = parse_composition("OFeH")  # O(8), Fe(26), H(1)
@@ -515,9 +521,6 @@ def _parsed_or_none(raw):
 
 _built = st.one_of(
     counts_strategy.map(normalize),
-    counts_strategy.map(
-        lambda c: Composition({s: v / math.fsum(c.values()) for s, v in c.items()})
-    ),
     _plain_runs.map(_parsed_or_none).filter(lambda c: c is not None),
 )
 
@@ -560,6 +563,16 @@ def test_copy_deepcopy_and_pickle_rebuild_an_equal_composition():
     records = [make_record("Nb3Sn", 18.1, 1954, Source.SUPERCON),
                make_record("Qq", None, None, Source.COD)]
     assert copy.deepcopy(records) == records
+
+
+def test_copy_deepcopy_and_pickle_restore_the_fractions_without_renormalizing():
+    # these fractions fsum to 1.0000000000000002: dividing them by their sum
+    # again moves a bit, so only an exact restore keeps every fraction
+    c = parse_composition("Fe1.1Y3")
+    assert math.fsum(c.values()) != 1.0
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert list(twin.items()) == list(c.items())
+        assert twin.key() == c.key()
 
 
 def test_unpickled_composition_hashes_in_the_loading_process():
