@@ -92,27 +92,32 @@ def write_feature_template(path) -> None:
               ([e.symbol] + [None] * N_BASIC for e in ELEMENTS))
 
 
-def load_element_features(path) -> dict[str, np.ndarray]:
-    """Read a populated feature CSV (by `dataset.csv_rows`) into {symbol: 32-vector}.
+def load_element_features(path) -> tuple[int, int, dict[str, np.ndarray]]:
+    """Read a feature CSV (by `dataset.csv_rows`): the rows read, the rows
+    skipped as not yet populated, and {symbol: 32-vector} of the others.
 
-    Rows with any blank cell are treated as not yet populated and skipped;
-    compositions touching them fail later with MissingElementFeaturesError.
-    A read error, a wrong header, row width or symbol, or a cell that is not
-    a finite number is a SchemaMismatchError (a ValueError) naming its line.
+    A row with any blank cell is not yet populated; compositions touching
+    its element fail later with MissingElementFeaturesError. A line with no
+    cell filled is no row. A read error, a wrong header, row width or
+    symbol, or a cell that is not a finite number is a SchemaMismatchError
+    (a ValueError) naming its line.
     """
     table: dict[str, np.ndarray] = {}
+    n_rows = n_unfilled = 0
     rows = list(csv_rows(path))
     if not rows or tuple(rows[0][1]) != ("symbol",) + FEATURE_NAMES:
         raise SchemaMismatchError(f"{path}: header does not match the 32 feature names")
     for line, row in rows[1:]:
         if not any(row):
             continue
+        n_rows += 1
         if len(row) != N_BASIC + 1:
             raise SchemaMismatchError(f"{path}:{line}: expected {N_BASIC + 1} cells, got {len(row)}")
         symbol = row[0]
         if symbol not in ATOMIC_NUMBER:
             raise SchemaMismatchError(f"{path}:{line}: unknown element {symbol!r}")
         if any(cell.strip() == "" for cell in row[1:]):
+            n_unfilled += 1
             continue
         try:
             vec = np.array([float(c) for c in row[1:]], dtype=np.float64)
@@ -125,7 +130,7 @@ def load_element_features(path) -> dict[str, np.ndarray]:
                 f"{path}:{line}: {FEATURE_NAMES[j]} must be finite, got {row[j + 1].strip()}"
             )
         table[symbol] = vec
-    return table
+    return n_rows, n_unfilled, table
 
 
 def aggregate_features_batch(

@@ -8,7 +8,8 @@ with the exit code and the error. `encode`, `dataset-build`, `train`,
 `evaluate`, `screen`, `discover` and `baseline` all start through `_start`,
 which also reads the spec and the input tables; each of `inputs` counts a
 table's rows and flagged rows as ingested and its records cleaned as read,
-before any training filter. Each result path comes from `Manifest.output`,
+before any training filter (for `--features`: rows read, rows not yet
+filled, filled rows). Each result path comes from `Manifest.output`,
 so the finished manifest lists exactly the files the run wrote. Reruns with
 the same inputs and seeds reproduce result files byte for byte; wall-clock
 timestamps live only in the manifest.
@@ -47,6 +48,7 @@ from .dataset import (
     clean_sc,
     garbage_in,
     ingest_csv,
+    sorted_sha256,
     write_records_csv,
 )
 from .formula import parse_composition
@@ -157,16 +159,6 @@ class Manifest:
         self.flush()
         args.manifest = self
 
-    def add_input(self, name: str, path, n_rows: int, n_flagged: int, records) -> None:
-        """Record a table's ingest counts and its cleaned `records`."""
-        self.data["inputs"][name] = {
-            "path": str(path),
-            "n_rows": n_rows,
-            "n_flagged": n_flagged,
-            "n_records": len(records),
-            "fingerprint": dataset_fingerprint(records),
-        }
-
     def flush(self) -> None:
         """Write to a temporary file beside the manifest, then rename it over
         the manifest, so a crash mid-write leaves the previous one whole."""
@@ -186,23 +178,28 @@ class Manifest:
         self.flush()
 
 
-# loaders return counts, not the report, so raw rows are freed before fingerprinting
-def _load_sc(path):
-    report = ingest_csv(path, Source.SUPERCON)
-    return report.n_rows, report.n_flagged, clean_sc(report.records)
+# a loader returns a table's row and flagged counts as read, the table as
+# cleaned, and its fingerprint
+def _load_records(path, source: Source, clean):
+    report = ingest_csv(path, source)
+    n_rows, n_flagged, rows = report.n_rows, report.n_flagged, clean(report.records)
+    del report  # the raw rows are freed before fingerprinting
+    return n_rows, n_flagged, rows, dataset_fingerprint(rows)
 
 
-def _load_cod(path):
-    report = ingest_csv(path, Source.COD)
-    return report.n_rows, report.n_flagged, clean_catalogue(report.records)
+def _load_features(path):
+    n_rows, n_unfilled, table = load_element_features(path)
+    lines = ("\x1f".join([symbol, *map(repr, vec.tolist())]) for symbol, vec in table.items())
+    return n_rows, n_unfilled, table, sorted_sha256(lines)
 
 
-def _load_eval(path):
-    report = ingest_csv(path, Source.EVAL_LIST)
-    return report.n_rows, report.n_flagged, report.records
-
-
-_LOADERS = {"sc": _load_sc, "data": _load_sc, "cod": _load_cod, "eval": _load_eval}
+_LOADERS = {
+    "sc": lambda path: _load_records(path, Source.SUPERCON, clean_sc),
+    "data": lambda path: _load_records(path, Source.SUPERCON, clean_sc),
+    "cod": lambda path: _load_records(path, Source.COD, clean_catalogue),
+    "eval": lambda path: _load_records(path, Source.EVAL_LIST, list),
+    "features": _load_features,
+}
 
 
 def _start(args, *names):
@@ -225,8 +222,11 @@ def _start(args, *names):
     for name in names:
         path, rows = getattr(args, name), None
         if path is not None:
-            n_rows, n_flagged, rows = _LOADERS[name](path)
-            manifest.add_input(name, path, n_rows, n_flagged, rows)
+            n_rows, n_flagged, rows, fingerprint = _LOADERS[name](path)
+            manifest.data["inputs"][name] = {
+                "path": str(path), "n_rows": n_rows, "n_flagged": n_flagged,
+                "n_records": len(rows), "fingerprint": fingerprint,
+            }
         tables.append(rows)
     manifest.flush()
     return manifest, spec, tables
@@ -327,8 +327,7 @@ def _cmd_baseline(args) -> None:
     for name in ("sc", "cod", "features"):
         if getattr(args, name) is None:
             raise _UsageError(f"--{name} is required (unless --template is given)")
-    manifest, _, (sc, cod) = _start(args, "sc", "cod")
-    table = load_element_features(args.features)
+    manifest, _, (sc, cod, table) = _start(args, "sc", "cod", "features")
     rows = sc + garbage_in(cod, sc)
     if not rows:
         raise ValueError(f"--sc {args.sc} and --cod {args.cod} leave no usable rows after cleaning")
@@ -338,15 +337,15 @@ def _cmd_baseline(args) -> None:
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(len(rows))
     n_test = max(1, int(round(len(rows) * args.test_fraction)))
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    if labels[train_idx].sum() in (0, len(train_idx)):
+    test_idx, fit_idx = perm[:n_test], perm[n_test:]
+    if labels[fit_idx].sum() in (0, len(fit_idx)):
         raise ValueError(
-            f"--test-fraction {args.test_fraction:g} leaves {len(train_idx)} training "
+            f"--test-fraction {args.test_fraction:g} leaves {len(fit_idx)} training "
             f"and {n_test} test rows; at --threshold {args.threshold:g} the forest "
             f"needs training rows of both classes"
         )
     model = train_forest(
-        features[train_idx], labels[train_idx], n_trees=args.trees, seed=args.seed, jobs=args.jobs
+        features[fit_idx], labels[fit_idx], n_trees=args.trees, seed=args.seed, jobs=args.jobs
     )
     pred, _ = predict_forest(model, features[test_idx])
     truth = labels[test_idx] == 1

@@ -294,28 +294,17 @@ def garbage_in(
     ]
 
 
-def rotating_folds(
-    records: Sequence, fold_size: int, seed: int
-) -> list[tuple[list[int], list[int]]]:
-    """Partition record indices into shuffled folds of at most fold_size.
-
-    Returns one (train_indices, test_indices) pair per fold; each index
-    appears in exactly one test set, so the folds cover everything without
-    repetition. The shuffle is fully determined by the seed.
-    """
+def rotating_folds(records: Sequence, fold_size: int, seed: int) -> list[np.ndarray]:
+    """Cut one seeded shuffle of the record indices into folds of at most
+    fold_size, in order. Each index is in exactly one fold; fold f's
+    training indices are every index not in it."""
     n = len(records)
     if fold_size < 1:
         raise FoldTooLargeError(f"fold_size must be >= 1, got {fold_size}")
     if fold_size > n:
         raise FoldTooLargeError(f"fold_size {fold_size} exceeds population {n}")
-    rng = np.random.default_rng(seed)
-    perm = [int(i) for i in rng.permutation(n)]
-    folds = []
-    for start in range(0, n, fold_size):
-        test = perm[start : start + fold_size]
-        train = perm[:start] + perm[start + fold_size :]
-        folds.append((train, test))
-    return folds
+    perm = np.random.default_rng(seed).permutation(n)
+    return [perm[start : start + fold_size] for start in range(0, n, fold_size)]
 
 
 def clean_sc(records: Sequence[MaterialRecord]) -> list[MaterialRecord]:
@@ -343,10 +332,14 @@ def dataset_fingerprint(records: Sequence[MaterialRecord]) -> str:
         tc = "" if r.tc_kelvin is None else f"{r.tc_kelvin:.9g}"
         year = "" if r.year is None else str(r.year)
         lines.append(f"{r.raw_formula}\x1f{comp}\x1f{tc}\x1f{year}\x1f{r.source.value}")
+    return sorted_sha256(lines)
+
+
+def sorted_sha256(lines: Iterable[str]) -> str:
+    """A table's fingerprint: sha256 over its lines, sorted, each ended by a newline."""
     digest = hashlib.sha256()
     for line in sorted(lines):
-        digest.update(line.encode())
-        digest.update(b"\n")
+        digest.update(f"{line}\n".encode())
     return digest.hexdigest()
 
 

@@ -455,7 +455,12 @@ def normalize(counts: Mapping[str, float]) -> Composition:
         raise EmptyCountsError("cannot normalize an empty count map")
     values = {}
     for symbol, value in counts.items():
-        value = values[symbol] = float(value)
+        try:
+            value = values[symbol] = float(value)
+        except (OverflowError, TypeError) as err:  # too large an int, or not a number
+            raise FormulaError(
+                f"element {symbol} has count {value!r} in {dict(counts)}: {err}"
+            ) from None
         if value <= 0.0:
             raise NonPositiveCountError(str(dict(counts)), symbol, value)
         if not math.isfinite(value):

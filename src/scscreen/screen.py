@@ -19,8 +19,9 @@ corpus row, which covers every fold at once. All randomness derives from
 seeds recorded in the result.
 
 Each experiment encodes its rows once (`_encode`) and describes each model
-as a `_Fit` over them; `_fit_all`, the one place a model trains, runs an
-experiment's models in `--jobs` threads.
+as a `_Fit` naming the rows it scores. A model trains on every row its run
+encodes except those it scores, in encoded order: `_fit_all`, the one place
+a model trains, applies that rule and runs the models in `--jobs` threads.
 """
 
 from __future__ import annotations
@@ -267,23 +268,24 @@ def _report(head: Head, pred, true_tc: Sequence[float], t: float) -> EvalReport:
 
 
 class _Fit(NamedTuple):
-    """One model as plain data: it trains on rows `train_idx` of an
-    experiment's encoded rows and predicts each index array of `scored`."""
+    """One model as plain data: it predicts each index array of `scored`
+    into an experiment's encoded rows, and trains on every other row."""
 
     model: ModelConfig
     train: TrainConfig
     label_threshold: float
-    train_idx: np.ndarray
     scored: tuple[np.ndarray, ...]
 
 
 def _fit_all(encoded: EncodedRows, tc: np.ndarray, fits: Sequence[_Fit], jobs: int) -> list:
     """Each fit's predictions, a list of one array per scored set, in fit
-    order; the fits run in `jobs` threads when jobs > 1."""
+    order; the fits run in `jobs` threads when jobs > 1. A fit trains on
+    every encoded row it does not score, so none trains on a row it scores."""
 
     def run(fit: _Fit) -> list[np.ndarray]:
-        params, _ = train(encoded.take(fit.train_idx), fit.model, fit.train,
-                          tc_kelvin=tc[fit.train_idx], label_threshold=fit.label_threshold)
+        trained = np.delete(np.arange(len(tc)), np.concatenate(fit.scored))
+        params, _ = train(encoded.take(trained), fit.model, fit.train,
+                          tc_kelvin=tc[trained], label_threshold=fit.label_threshold)
         return [predict(params, encoded.take(idx)) for idx in fit.scored]
 
     if jobs <= 1 or len(fits) <= 1:
@@ -349,24 +351,25 @@ def run_candidate_screen(
     if not corpus:
         raise EmptyDatasetError("catalogue is empty after overlap removal")
     _assert_corpus_disjoint(sc_train, corpus)
-    # the corpus is encoded first, so a corpus index is its encoded row; the
-    # folds' index lists live only until their fits hold them as arrays
-    encoded, tc, (_, sc_idx) = _encode(spec, corpus, sc_train)
+    # reordered after that check, which names collisions in garbage_in's
+    # order: fold f scores the f-th corpus group and trains on all the rest
+    folds = [[corpus[i] for i in fold.tolist()]
+             for fold in rotating_folds(corpus, spec.fold_size, spec.model.seed)]
+    encoded, tc, (_, *scored) = _encode(spec, sc_train, *folds)
     fits = [
-        _Fit(dataclasses.replace(spec.model, seed=spec.model.seed + f), spec.train, 0.0,
-             np.concatenate([sc_idx, np.asarray(train, np.intp)]), (np.asarray(test, np.intp),))
-        for f, (train, test) in enumerate(rotating_folds(corpus, spec.fold_size, spec.model.seed))
+        _Fit(dataclasses.replace(spec.model, seed=spec.model.seed + f), spec.train, 0.0, (idx,))
+        for f, idx in enumerate(scored)
     ]
     per_fold = _fit_all(encoded, tc, fits, jobs)
     rows = [
         CandidateRow(
-            formula=corpus[i].composition.formula(),
+            formula=r.composition.formula(),
             predicted_tc_kelvin=p,
             fold_id=fold_id,
-            family=classify_family(corpus[i].composition),
+            family=classify_family(r.composition),
         )
-        for fold_id, (fit, (preds,)) in enumerate(zip(fits, per_fold))
-        for i, p in zip(fit.scored[0].tolist(), preds.tolist())
+        for fold_id, (fold, (preds,)) in enumerate(zip(folds, per_fold))
+        for r, p in zip(fold, preds.tolist())
     ]
     kept = [r for r in rows if r.family not in (FamilyLabel.CUPRATE, FamilyLabel.FESC)]
     kept.sort(key=lambda r: (-r.predicted_tc_kelvin, r.formula))
@@ -422,10 +425,10 @@ def run_temporal_eval(
     if not eval_rows:
         raise EmptyDatasetError("evaluation list is empty after overlap removal")
 
-    encoded, tc, (train_idx, eval_idx) = _encode(spec, train_rows, eval_rows)
+    encoded, tc, (_, eval_idx) = _encode(spec, train_rows, eval_rows)
     head = spec.model.head
     trained_at = spec.thresholds if head is Head.BINARY_LOGIT else spec.thresholds[:1]
-    fits = [_Fit(spec.model, spec.train, t, train_idx, (eval_idx,)) for t in trained_at]
+    fits = [_Fit(spec.model, spec.train, t, (eval_idx,)) for t in trained_at]
     preds = [pred for pred, in _fit_all(encoded, tc, fits, jobs=1)]
     if head is Head.REGRESSION:
         preds *= len(spec.thresholds)
@@ -509,13 +512,13 @@ def run_family_discovery(
     if eval_list is not None and not eval_rows:
         raise EmptyDatasetError("reference list is empty after overlap removal")
 
-    encoded, tc, (train_idx, test_idx, eval_idx) = _encode(spec, train_rows, test_rows, eval_rows)
+    encoded, tc, (_, test_idx, eval_idx) = _encode(spec, train_rows, test_rows, eval_rows)
     check_t = spec.thresholds[0]
     fits = [
         _Fit(
             dataclasses.replace(spec.model, seed=spec.model.seed + k),
             dataclasses.replace(spec.train, shuffle_seed=spec.train.shuffle_seed + k),
-            check_t, train_idx, (test_idx, eval_idx) if eval_rows else (test_idx,),
+            check_t, (test_idx, eval_idx) if eval_rows else (test_idx,),
         )
         for k in range(spec.repeats)
     ]

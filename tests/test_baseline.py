@@ -208,15 +208,16 @@ class TestFeatureCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "symbol," + ",".join(FEATURE_NAMES)
         assert len(lines) == 1 + len(SYMBOLS)
-        # an unpopulated template yields an empty table
-        assert load_element_features(path) == {}
+        # an unpopulated template yields an empty table: every row is read
+        # and skipped as not yet populated
+        assert load_element_features(path) == (len(SYMBOLS), len(SYMBOLS), {})
 
         rows = [lines[0]]
         rows.append("Nb," + ",".join(str(float(i)) for i in range(32)))
         rows.append("Ti," + "," * 31)  # untouched template row: skipped
         path.write_text("\n".join(rows) + "\n")
-        table = load_element_features(path)
-        assert set(table) == {"Nb"}
+        n_rows, n_unfilled, table = load_element_features(path)
+        assert (n_rows, n_unfilled, set(table)) == (2, 1, {"Nb"})
         assert np.array_equal(table["Nb"], np.arange(32.0))
 
     def test_template_rows_in_atomic_number_order(self, tmp_path):
@@ -243,7 +244,7 @@ class TestFeatureCsv:
         path = tmp_path / "features.csv"
         header = "symbol," + ",".join(FEATURE_NAMES)
         path.write_bytes(("\ufeff" + header + "\nNb," + ",".join(["1"] * 32) + "\n").encode())
-        assert set(load_element_features(path)) == {"Nb"}
+        assert set(load_element_features(path)[2]) == {"Nb"}
 
     def test_non_utf8_file_rejected_naming_it(self, tmp_path):
         path = tmp_path / "features.csv"

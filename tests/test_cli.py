@@ -14,6 +14,7 @@ from scscreen.baseline import FEATURE_NAMES, load_element_features
 from scscreen.cli import main
 from scscreen.dataset import Source, make_record
 from scscreen.nn import load_checkpoint
+from scscreen.ptable import SYMBOLS
 from scscreen.screen import load_experiment_spec, spec_from_dict
 
 from test_screen import COLD, cod_world, eval_list_rows, sc_world, screen_cod
@@ -607,7 +608,11 @@ def test_every_input_counts_rows_flagged_and_records(world, tmp_path, capsys, co
     cfg = write_config(tmp_path / "cfg.json", training_filter={"year_before": 2008},
                        test_set="FESC", fold_size=12)
     feats = tmp_path / "features.csv"
-    write_features_csv(feats, ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As", "Se"])
+    symbols = ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As", "Se"]
+    write_features_csv(feats, symbols)
+    with open(feats, "a") as f:  # a row not yet filled, and a line with no cell filled
+        f.write("Zr" + "," * len(FEATURE_NAMES) + "\n" + "," * len(FEATURE_NAMES) + "\n")
+    expected["features"] = (len(symbols) + 1, 1, len(symbols))
     argv = {
         "dataset-build": ["--sc", sc, "--cod", cod, "--eval", world["eval"]],
         "train": ["--config", cfg, "--data", sc],
@@ -619,11 +624,12 @@ def test_every_input_counts_rows_flagged_and_records(world, tmp_path, capsys, co
     out = tmp_path / "out"
     assert main([command, *map(str, argv), "--out", str(out)]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    flags = {flag[2:] for flag in argv[::2] if flag[2:] in (*tables, "data")}
+    flags = {flag[2:] for flag in argv[::2] if flag[2:] in (*expected, "data")}
     assert set(inputs) == flags
     for name, entry in inputs.items():
         counts = (entry["n_rows"], entry["n_flagged"], entry["n_records"])
         assert counts == expected["sc" if name == "data" else name], name
+        assert re.fullmatch(r"[0-9a-f]{64}", entry["fingerprint"]), name
 
 
 class TestManifestConfig:
@@ -693,8 +699,8 @@ class TestBaseline:
     def test_template_mode(self, tmp_path):
         path = tmp_path / "template.csv"
         assert main(["baseline", "--template", str(path)]) == 0
-        table = load_element_features(path)  # blank rows are simply skipped
-        assert table == {}
+        # every template row is read and skipped as not yet filled
+        assert load_element_features(path) == (len(SYMBOLS), len(SYMBOLS), {})
 
     def test_forest_run(self, world, tmp_path, capsys):
         feats = tmp_path / "features.csv"
@@ -710,7 +716,30 @@ class TestBaseline:
         assert rows[0][0] == "threshold_K"
         manifest = json.loads((world["out"] / "manifest.json").read_text())
         assert manifest["command"] == "baseline"
-        assert set(manifest["inputs"]) == {"sc", "cod"}
+        assert set(manifest["inputs"]) == {"sc", "cod", "features"}
+
+    def test_manifest_fingerprints_the_feature_table(self, world, tmp_path):
+        # the fingerprint follows the filled rows' values, not their order
+        symbols = ["Nb", *COLD, "Y", "Ba", "Cu", "O", "La", "Fe", "As"]
+        base = tmp_path / "features.csv"
+        write_features_csv(base, symbols)
+        header, *rows = base.read_text().splitlines()
+        cells = rows[0].split(",")
+        cells[1] = repr(float(cells[1]) + 0.5)
+        paths = {"base": base}
+        for name, lines in [("reordered", [header, *rows[::-1]]),
+                            ("changed", [header, ",".join(cells), *rows[1:]])]:
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(lines) + "\n")
+        fingerprints = {}
+        for name, path in paths.items():
+            out = tmp_path / f"out-{name}"
+            assert main(["baseline", "--sc", str(world["sc"]), "--cod", str(world["cod"]),
+                         "--features", str(path), "--trees", "5", "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            fingerprints[name] = manifest["inputs"]["features"]["fingerprint"]
+        assert fingerprints["reordered"] == fingerprints["base"]
+        assert fingerprints["changed"] != fingerprints["base"]
 
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
     def test_test_fraction_outside_open_interval_is_usage_error(self, world, tmp_path,

@@ -408,26 +408,22 @@ class TestFilters:
 
 class TestFolds:
     def test_partition(self):
-        records = list(range(10))
-        folds = rotating_folds(records, 3, seed=0)
-        assert len(folds) == 4  # ceil(10/3)
-        all_test = [i for _, test in folds for i in test]
-        assert sorted(all_test) == list(range(10))
-        for train, test in folds:
-            assert set(train) & set(test) == set()
-            assert sorted(train + test) == list(range(10))
+        # index arrays of at most fold_size; every index in exactly one fold,
+        # so fold f's training indices (every index not in it) never meet it
+        folds = rotating_folds(list(range(10)), 3, seed=0)
+        assert [len(fold) for fold in folds] == [3, 3, 3, 1]  # ceil(10/3) folds
+        assert all(fold.dtype.kind == "i" for fold in folds)
+        assert sorted(np.concatenate(folds).tolist()) == list(range(10))
 
     def test_single_fold(self):
-        folds = rotating_folds(list(range(5)), 5, seed=1)
-        assert len(folds) == 1
-        assert folds[0][0] == [] and sorted(folds[0][1]) == list(range(5))
+        (fold,) = rotating_folds(list(range(5)), 5, seed=1)
+        assert sorted(fold.tolist()) == list(range(5))
 
     def test_deterministic(self):
-        a = rotating_folds(list(range(20)), 7, seed=42)
-        b = rotating_folds(list(range(20)), 7, seed=42)
-        assert a == b
-        c = rotating_folds(list(range(20)), 7, seed=43)
-        assert a != c
+        def folds(seed):
+            return [fold.tolist() for fold in rotating_folds(list(range(20)), 7, seed)]
+        assert folds(42) == folds(42)
+        assert folds(42) != folds(43)
 
     def test_fold_too_large(self):
         with pytest.raises(FoldTooLargeError):
@@ -445,8 +441,11 @@ class TestFolds:
             return
         folds = rotating_folds(list(range(n)), fold_size, seed)
         assert len(folds) == -(-n // fold_size)
-        covered = sorted(i for _, test in folds for i in test)
-        assert covered == list(range(n))
+        assert all(len(fold) == fold_size for fold in folds[:-1])
+        # the folds, in order, are the seed's one permutation
+        order = np.concatenate(folds).tolist()
+        assert order == np.random.default_rng(seed).permutation(n).tolist()
+        assert sorted(order) == list(range(n))
 
 
 class TestCleanPipelines:

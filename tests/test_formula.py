@@ -237,6 +237,21 @@ class TestNormalize:
         with pytest.raises(formula.FormulaError, match="non-finite count inf"):
             parse_composition("H" + "9" * 400)
 
+    @pytest.mark.parametrize("value, message", [
+        (10**400, "element H has count 1" + "0" * 400 + " in {'H': 1"),
+        (None, "element H has count None in {'H': None}: float() argument"),
+        ([1], "element H has count [1] in {'H': [1]}: float() argument"),
+    ], ids=["int-too-large", "none", "list"])
+    def test_count_that_is_no_float_is_a_formula_error(self, value, message):
+        # was a bare OverflowError or TypeError, which no ValueError handler catches
+        with pytest.raises(formula.FormulaError) as info:
+            normalize({"H": value})
+        assert str(info.value).startswith(message)
+
+    def test_count_that_is_no_number_keeps_float_message(self):
+        with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+            normalize({"H": "x"})
+
     def test_count_sum_overflow(self):
         with pytest.raises(formula.FormulaError, match="sum of the counts overflows"):
             parse_composition("H" + "9" * 308 + "O" + "9" * 308)

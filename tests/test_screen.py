@@ -1,7 +1,10 @@
 import csv
+import itertools
 import json
+import math
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +452,27 @@ class TestCandidateScreen:
         assert threaded.rows == result.rows
         assert threaded.threshold_counts == result.threshold_counts
 
+    def test_fold_bookkeeping_does_not_grow_with_the_fold_count(self):
+        # 2,400 distinct cold-pair rows at 2 and at 80 folds; the traced peak
+        # may grow by the larger training sets (about 0.2 MB), not by index
+        # lists over the corpus per fold (about 2 MB)
+        cod = [rec(f"{a}{i}{b}{j}", source=Source.COD)
+               for a, b in itertools.combinations(COLD, 2)
+               for i in range(1, 21) for j in range(1, 21) if i != j and math.gcd(i, j) == 1]
+        cod = cod[:2400]
+        assert len(cod) == 2400
+        peaks = {}
+        for n_folds in (2, 2, 80):  # the first run warms the caches
+            spec = screen_spec(train=quick_train(epochs=1, batch_size=64),
+                               fold_size=-(-len(cod) // n_folds))
+            tracemalloc.start()
+            try:
+                assert run_candidate_screen(sc_world(), cod, spec).n_folds == n_folds
+                peaks[n_folds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[80] - peaks[2] < 0.4 * 2**20, peaks
+
     def test_duplicate_catalogue_composition_is_leakage(self):
         # the second pair is one material to within 1e-6 in every fraction;
         # the message names the collision by its canonical formula. At fold
@@ -745,14 +769,15 @@ class TestFamilyDiscovery:
 
 
 def test_fit_survives_pickle():
-    # a fit is plain data, so it can be shipped to another process as is
+    # a fit is plain data, so it can be shipped to another process as is;
+    # it names only the rows it scores (it trains on every other row)
     fit = screen._Fit(
         tiny_model(head=Head.BINARY_LOGIT), quick_train(), 4.0,
-        np.arange(5), (np.array([7, 9]), np.arange(3)),
+        (np.array([7, 9]), np.arange(3)),
     )
     back = pickle.loads(pickle.dumps(fit))
+    assert back._fields == ("model", "train", "label_threshold", "scored")
     assert (back.model, back.train, back.label_threshold) == (fit.model, fit.train, 4.0)
-    assert np.array_equal(back.train_idx, fit.train_idx)
     assert len(back.scored) == 2
     assert all(np.array_equal(a, b) for a, b in zip(back.scored, fit.scored))
 
@@ -782,6 +807,109 @@ def test_temporal_eval_models_per_head(trained_thresholds, head, trained):
     reports = run_temporal_eval(sc_world(), cod_world(), eval_list_rows(), spec)
     assert trained_thresholds == trained
     assert [r.threshold_kelvin for r in reports] == [0.0, 4.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
+# every model trains on exactly the rows its workflow names, in order, and
+# scores exactly its fold or lists
+
+
+def row_cells(rows: nn.EncodedRows) -> list[tuple]:
+    """Each encoded row as its nonzero (cell, value) pairs."""
+    return [tuple(zip(c[v != 0].tolist(), v[v != 0].tolist()))
+            for c, v in zip(rows.cells, rows.values)]
+
+
+@pytest.fixture
+def model_rows(monkeypatch):
+    """Every model `screen.train` trains, keyed by (model seed, label
+    threshold): the rows and Tc labels it trains on, and the rows of each
+    `screen.predict` call made with its parameters."""
+    models = {}
+    fit, score = screen.train, screen.predict
+
+    def recorded_train(rows, model, train, **kwargs):
+        params, trace = fit(rows, model, train, **kwargs)
+        key = (model.seed, kwargs["label_threshold"])
+        assert key not in models
+        models[key] = dict(params=params, train=row_cells(rows),
+                           tc=kwargs["tc_kelvin"].tolist(), scored=[])
+        return params, trace
+
+    def recorded_predict(params, rows):
+        (model,) = [m for m in models.values() if m["params"] is params]
+        model["scored"].append(row_cells(rows))
+        return score(params, rows)
+
+    monkeypatch.setattr(screen, "train", recorded_train)
+    monkeypatch.setattr(screen, "predict", recorded_predict)
+    return models
+
+
+def screen_models(jobs):
+    """Run the screen; each fold's model trains on `_training_sc`'s rows,
+    then the other folds' corpus rows in the seed's permutation order."""
+    sc, cod, spec = sc_world(), screen_cod(), screen_spec(train=quick_train(epochs=1))
+    run_candidate_screen(sc, cod, spec, jobs=jobs)
+    sc_train = screen._training_sc(sc, spec)
+    corpus = garbage_in(cod, sc_train)
+    perm = np.random.default_rng(spec.model.seed).permutation(len(corpus)).tolist()
+    expected = {}
+    for f, start in enumerate(range(0, len(corpus), spec.fold_size)):
+        end = start + spec.fold_size
+        expected[spec.model.seed + f, 0.0] = (
+            sc_train + [corpus[i] for i in perm[:start] + perm[end:]],
+            [[corpus[i] for i in perm[start:end]]],
+        )
+    assert len(expected) == 3
+    return spec, expected
+
+
+def evaluate_models(head):
+    """Run the temporal evaluation; every model trains on `_hold_out`'s
+    training rows and scores the kept list."""
+    sc, cod, evals = sc_world(), cod_world(), eval_list_rows()
+    spec = eval_spec(model=tiny_model(head=head), train=quick_train(epochs=1))
+    run_temporal_eval(sc, cod, evals, spec)
+    train_rows, scored = screen._hold_out(
+        screen._training_sc(sc, spec), cod, spec, [evals], "check")
+    trained_at = spec.thresholds if head is Head.BINARY_LOGIT else spec.thresholds[:1]
+    return spec, {(spec.model.seed, t): (train_rows, scored) for t in trained_at}
+
+
+def discover_models(reference):
+    """Run family discovery (in two threads); every run trains on
+    `_hold_out`'s training rows and scores the family, then the list."""
+    (sc, cod), evals = discovery_world(), eval_list_rows() if reference else None
+    spec = discovery_spec(train=quick_train(epochs=1))
+    run_family_discovery(sc, cod, spec, eval_list=evals, jobs=2)
+    fesc = [r for r in sc if classify_family(r.composition) is FamilyLabel.FESC]
+    train_rows, (test_rows, eval_rows) = screen._hold_out(
+        screen._training_sc(sc, spec), cod, spec, [fesc, evals or []], "check")
+    scored = [test_rows, eval_rows] if reference else [test_rows]
+    return spec, {(spec.model.seed + k, spec.thresholds[0]): (train_rows, scored)
+                  for k in range(spec.repeats)}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: screen_models(jobs=1), lambda: screen_models(jobs=2),
+    lambda: evaluate_models(Head.REGRESSION), lambda: evaluate_models(Head.BINARY_LOGIT),
+    lambda: discover_models(reference=False), lambda: discover_models(reference=True),
+], ids=["screen-jobs-1", "screen-jobs-2", "evaluate-regression", "evaluate-binary_logit",
+        "discover", "discover-reference"])
+def test_each_model_trains_on_every_row_it_does_not_score(model_rows, run):
+    spec, expected = run()
+    assert sorted(model_rows) == sorted(expected)
+
+    def cells(records):
+        return row_cells(nn.encode_rows([r.composition for r in records], spec.model.np_dtype))
+
+    for key, model in model_rows.items():
+        train_rows, scored = expected[key]
+        assert model["train"] == cells(train_rows), key
+        assert model["tc"] == [r.tc_kelvin for r in train_rows], key
+        assert model["scored"] == [cells(rows) for rows in scored], key
+        assert not set(model["train"]) & {row for rows in model["scored"] for row in rows}, key
 
 
 # ---------------------------------------------------------------------------
