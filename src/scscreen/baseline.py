@@ -99,10 +99,11 @@ def load_element_features(path) -> tuple[int, int, dict[str, np.ndarray]]:
     A row with any blank cell is not yet populated; compositions touching
     its element fail later with MissingElementFeaturesError. A line with no
     cell filled is no row. A read error, a wrong header, row width or
-    symbol, or a cell that is not a finite number is a SchemaMismatchError
-    (a ValueError) naming its line.
+    symbol, a symbol listed twice, or a cell that is not a finite number is
+    a SchemaMismatchError (a ValueError) naming its line.
     """
     table: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}  # symbol -> the line that lists it
     n_rows = n_unfilled = 0
     rows = list(csv_rows(path))
     if not rows or tuple(rows[0][1]) != ("symbol",) + FEATURE_NAMES:
@@ -116,6 +117,11 @@ def load_element_features(path) -> tuple[int, int, dict[str, np.ndarray]]:
         symbol = row[0]
         if symbol not in ATOMIC_NUMBER:
             raise SchemaMismatchError(f"{path}:{line}: unknown element {symbol!r}")
+        if symbol in first_line:
+            raise SchemaMismatchError(
+                f"{path}:{line}: {symbol} is listed again (first on line {first_line[symbol]})"
+            )
+        first_line[symbol] = line
         if any(cell.strip() == "" for cell in row[1:]):
             n_unfilled += 1
             continue
@@ -133,6 +139,11 @@ def load_element_features(path) -> tuple[int, int, dict[str, np.ndarray]]:
     return n_rows, n_unfilled, table
 
 
+# Rows per `_aggregate` call, which bounds its scratch: traced, 1.9 MiB for
+# 256 rows of 4 elements and 2.5 MiB for rows of 6.
+_AGGREGATE_ROWS = 256
+
+
 def aggregate_features_batch(
     compositions: Sequence[Mapping[str, float]], table: Mapping[str, np.ndarray]
 ) -> np.ndarray:
@@ -145,11 +156,17 @@ def aggregate_features_batch(
     value whose cumulative weight reaches 0.5; mean absolute difference
     Σw|f−avg|.
 
-    Rows are aggregated together by element count. An empty composition, a
-    missing element or a feature row of the wrong width raises for the
-    first such composition in input order. A missing element error names
-    every element, in any of the compositions, that has no feature row:
-    each once, by atomic number.
+    The result is (n, 256), stored feature-major: the transpose view of a
+    C-order (256, n) buffer, so each feature is one contiguous run that
+    `train_forest` reads in place. Rows are aggregated together by element
+    count, `_AGGREGATE_ROWS` rows at a time, straight into that buffer, so
+    the scratch memory above the result does not grow with n. A row's
+    values do not depend on the rows beside it.
+
+    An empty composition, a missing element or a feature row of the wrong
+    width raises for the first such composition in input order. A missing
+    element error names every element, in any of the compositions, that
+    has no feature row: each once, by atomic number.
     """
     slot: dict[str, int] = {}  # symbol -> its row in `vectors`
     vectors: list[np.ndarray] = []
@@ -176,18 +193,23 @@ def aggregate_features_batch(
         slots.append([slot[s] for s in symbols])
         weights.append([composition[s] for s in symbols])
 
-    out = np.empty((len(compositions), N_AGGREGATED))
+    out = np.empty((N_AGGREGATED, len(compositions)))
     if vectors:
         stacked = np.stack(vectors)
         for rows, slots, weights in groups.values():
-            out[rows] = _aggregate(np.array(weights, dtype=np.float64), stacked[np.array(slots)])
-    return out
+            rows, slots, w = np.array(rows), np.array(slots), np.array(weights, dtype=np.float64)
+            for start in range(0, len(rows), _AGGREGATE_ROWS):
+                chunk = slice(start, start + _AGGREGATE_ROWS)
+                _aggregate(w[chunk], stacked[slots[chunk]], out, rows[chunk])
+    return out.T
 
 
-def _aggregate(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """(g, 256) aggregates of g compositions with k elements each: weights
-    `w` (g, k) and feature rows `feats` (g, k, 32), elements in atomic-number
-    order."""
+def _aggregate(w: np.ndarray, feats: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+    """Aggregate g compositions with k elements each, weights `w` (g, k) and
+    feature rows `feats` (g, k, 32), elements in atomic-number order, into
+    columns `rows` of the feature-major result `out` (256, n). Its scratch
+    is a few arrays the size of `feats`; `aggregate_features_batch` passes
+    at most `_AGGREGATE_ROWS` rows."""
     g = w.shape[0]
     wv = w[:, None, :]  # one (1, k) @ (k, 32) product per row: the BLAS call of a lone row
     avg = (wv @ feats)[:, 0]
@@ -210,7 +232,8 @@ def _aggregate(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
         np.take_along_axis(feats, order, axis=1), first[:, None, :], axis=1
     )[:, 0]
 
-    return np.concatenate([avg, var, mx, mn, mx - mn, mode, median, mad], axis=1)
+    for a, block in enumerate((avg, var, mx, mn, mx - mn, mode, median, mad)):
+        out[a * N_BASIC:(a + 1) * N_BASIC, rows] = block.T
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +289,32 @@ def _best_split(cols: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
     return int(feature_ids[c]), float((vs[c, i] + vs[c, i + 1]) / 2.0), float(score[k])
 
 
+def _best_split_blocked(xt: np.ndarray, idx: np.ndarray, y: np.ndarray, block: int):
+    """`_best_split` over every feature of `xt` (d, N) on the sample `idx`,
+    gathering `block` features at a time. A later block wins only with a
+    strictly lower score, so ties still go to the first feature, then to
+    the smallest threshold, as over the whole matrix at once."""
+    best = None
+    for start in range(0, xt.shape[0], block):
+        stop = min(start + block, xt.shape[0])
+        split = _best_split(xt[start:stop, idx], y, np.arange(start, stop))
+        if split is not None and (best is None or split[2] < best[2]):
+            best = split
+    return best
+
+
 def _grow_tree(
     xt: np.ndarray, y: np.ndarray, rows: np.ndarray, rng: np.random.Generator
 ) -> _Tree:
     """CART to purity (min leaf 1) on the sample `rows` (repeats allowed) of
     the feature-major matrix `xt` (d, N) and labels `y` (N,), sampling
-    sqrt(d) candidate features per split and falling back to the full
+    m = sqrt(d) candidate features per split and falling back to the full
     feature set when the sample is uninformative; leaves take the majority
-    class, ties to 0."""
+    class, ties to 0.
+
+    `xt` may be a view; each of its feature rows is read in place. A node
+    gathers m features of its sample at a time, the all-feature fallback
+    included."""
     d = xt.shape[0]
     m = max(1, int(round(np.sqrt(d))))
     feature, threshold, left, right, leaf_class = [], [], [], [], []
@@ -298,7 +339,7 @@ def _grow_tree(
         cand = rng.choice(d, size=m, replace=False) if m < d else np.arange(d)
         split = _best_split(xt[np.ix_(cand, idx)], ys, cand)
         if split is None and m < d:
-            split = _best_split(xt[:, idx], ys, np.arange(d))
+            split = _best_split_blocked(xt, idx, ys, m)
         if split is None:  # duplicate rows with conflicting labels
             leaf_class[node] = 1 if 2 * pos > len(idx) else 0
             continue
@@ -342,7 +383,12 @@ def train_forest(
 ) -> ForestModel:
     """Bagging forest: each tree sees its own bootstrap resample and its own
     generator spawned from the seed, so results do not depend on build order
-    (or on `jobs`)."""
+    (or on `jobs`).
+
+    The trees read `features` (n, d) feature-major. An input that already
+    stores each feature contiguously (`aggregate_features_batch`'s result,
+    or a row slice of it) is read in place through its transpose; any other
+    is copied once. The trees are the same either way."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -358,7 +404,9 @@ def train_forest(
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
-    xt = np.ascontiguousarray(x.T)  # one feature-major copy that every tree samples from
+    # the feature-major matrix every tree samples from: `x` itself when each
+    # feature is already one contiguous run, else one copy
+    xt = x.T if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T)
 
     def build(rng):
         return _grow_tree(xt, y, rng.integers(0, x.shape[0], size=x.shape[0]), rng)

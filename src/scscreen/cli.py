@@ -332,22 +332,25 @@ def _cmd_baseline(args) -> None:
     if not rows:
         raise ValueError(f"--sc {args.sc} and --cod {args.cod} leave no usable rows after cleaning")
     labels = np.array([1 if r.tc_kelvin > args.threshold else 0 for r in rows], dtype=np.int64)
-    features = aggregate_features_batch([r.composition for r in rows], table)
-
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(len(rows))
     n_test = max(1, int(round(len(rows) * args.test_fraction)))
     test_idx, fit_idx = perm[:n_test], perm[n_test:]
-    if labels[fit_idx].sum() in (0, len(fit_idx)):
+    # one feature-major matrix, fit rows then test rows: both are slices of
+    # it, and the forest reads its fit slice in place
+    order = np.concatenate([fit_idx, test_idx])
+    features = aggregate_features_batch([rows[i].composition for i in order], table)
+    n_fit = len(fit_idx)
+    if labels[fit_idx].sum() in (0, n_fit):
         raise ValueError(
-            f"--test-fraction {args.test_fraction:g} leaves {len(fit_idx)} training "
+            f"--test-fraction {args.test_fraction:g} leaves {n_fit} training "
             f"and {n_test} test rows; at --threshold {args.threshold:g} the forest "
             f"needs training rows of both classes"
         )
     model = train_forest(
-        features[fit_idx], labels[fit_idx], n_trees=args.trees, seed=args.seed, jobs=args.jobs
+        features[:n_fit], labels[fit_idx], n_trees=args.trees, seed=args.seed, jobs=args.jobs
     )
-    pred, _ = predict_forest(model, features[test_idx])
+    pred, _ = predict_forest(model, features[n_fit:])
     truth = labels[test_idx] == 1
     report = confusion_counts(pred == 1, truth, args.threshold, float(truth.mean()))
     write_reports_csv([report], manifest.output("baseline_report.csv"))

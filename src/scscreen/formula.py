@@ -331,6 +331,27 @@ def _format_count(value: float) -> str:
     return np.format_float_positional(value, unique=True, trim="-")
 
 
+def _shown_counts(counts: Mapping) -> str:
+    """`counts` as its dict repr, for error messages; an int too long for
+    the interpreter to print shows as its digit count."""
+    return "{" + ", ".join(f"{s!r}: {_shown_count(v)}" for s, v in counts.items()) + "}"
+
+
+def _shown_count(value) -> str:
+    """repr(value), or for an int past the int-to-str digit limit its sign
+    and digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    size = abs(value)
+    digits = int(math.log10(size)) + 1  # within one of the true count
+    digits += size >= 10**digits
+    digits -= size < 10 ** (digits - 1)
+    return f"{'-' if value < 0 else ''}<{digits}-digit int>"
+
+
 _KEY_SCALE = 10**6  # Composition.key() resolution: fractions in steps of 1e-6
 
 
@@ -359,8 +380,9 @@ class Composition(Mapping):
         try:
             total = math.fsum(counts.values())
         except OverflowError:
-            shown = dict(shown or counts)
-            raise FormulaError(f"the sum of the counts overflows in {shown}") from None
+            raise FormulaError(
+                f"the sum of the counts overflows in {_shown_counts(shown or counts)}"
+            ) from None
         fractions = {}
         for symbol, value in counts.items():
             if symbol not in ATOMIC_NUMBER:
@@ -459,12 +481,15 @@ def normalize(counts: Mapping[str, float]) -> Composition:
             value = values[symbol] = float(value)
         except (OverflowError, TypeError) as err:  # too large an int, or not a number
             raise FormulaError(
-                f"element {symbol} has count {value!r} in {dict(counts)}: {err}"
+                f"element {symbol} has count {_shown_count(value)} in "
+                f"{_shown_counts(counts)}: {err}"
             ) from None
         if value <= 0.0:
-            raise NonPositiveCountError(str(dict(counts)), symbol, value)
+            raise NonPositiveCountError(_shown_counts(counts), symbol, value)
         if not math.isfinite(value):
-            raise FormulaError(f"element {symbol} has non-finite count {value} in {dict(counts)}")
+            raise FormulaError(
+                f"element {symbol} has non-finite count {value} in {_shown_counts(counts)}"
+            )
     return Composition._from_counts(values, counts)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from scscreen.baseline import (
     N_BASIC,
     ShapeMismatchError,
     SingleClassInputError,
+    _AGGREGATE_ROWS,
     _best_split,
+    _best_split_blocked,
     _grow_tree,
     _tree_votes,
     aggregate_features_batch,
@@ -201,6 +204,58 @@ class TestAggregate:
         assert aggregate_features_batch(comps, table).tobytes() == expected.tobytes()
 
 
+def random_batch(rng, n, sizes=(1, 2, 3, 4, 5, 6)):
+    """`n` compositions over a 10-element pool, element counts drawn from
+    `sizes`, and a table of normal 32-vectors for the pool."""
+    pool = ["H", "Li", "C", "O", "Al", "Fe", "Cu", "Nb", "Sn", "Ba"]
+    table = {s: rng.normal(0, 10, N_BASIC) for s in pool}
+    comps = []
+    for k in rng.choice(sizes, size=n):
+        symbols = rng.choice(pool, size=k, replace=False)
+        comps.append(normalize({str(s): float(c) for s, c in zip(symbols, rng.random(k) + 0.05)}))
+    return comps, table
+
+
+class TestAggregateLayout:
+    def test_result_is_a_feature_major_view(self):
+        comps, table = random_batch(np.random.default_rng(0), 5)
+        out = aggregate_features_batch(comps, table)
+        assert out.shape == (5, N_AGGREGATED) and out.T.flags.c_contiguous
+
+    def test_groups_larger_than_a_chunk_match_the_reference(self):
+        # one group of 3-element rows spans three chunks, the last one partial
+        rng = np.random.default_rng(1)
+        comps, table = random_batch(rng, 2 * _AGGREGATE_ROWS + 37, sizes=(3,))
+        extra, _ = random_batch(rng, 40, sizes=(1, 2, 5))
+        comps = [c for pair in zip(comps, extra) for c in pair] + comps[len(extra):]
+        assert len(comps) > 2 * _AGGREGATE_ROWS + 40
+        expected = np.stack([reference_aggregate(c, table) for c in comps])
+        assert aggregate_features_batch(comps, table).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuting_the_input_permutes_the_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        comps, table = random_batch(rng, _AGGREGATE_ROWS + 100)
+        perm = rng.permutation(len(comps))
+        out = aggregate_features_batch(comps, table)
+        permuted = aggregate_features_batch([comps[i] for i in perm], table)
+        assert permuted.tobytes() == out[perm].tobytes()
+
+    def test_scratch_above_the_result_is_bounded(self):
+        # 6,144 rows of 4 elements make a 12.6 MB result. Chunked, the
+        # scratch above it is about 4 MB: the per-row group lists and one
+        # chunk's arrays. Whole groups concatenated afterwards took about 60 MB.
+        comps, table = random_batch(np.random.default_rng(2), 6144, sizes=(4,))
+        tracemalloc.start()
+        try:
+            out = aggregate_features_batch(comps, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        above = peak - out.nbytes
+        assert above < out.nbytes / 2, f"{above / 1e6:.2f} MB above the result"
+
+
 class TestFeatureCsv:
     def test_template_and_load_round_trip(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -268,6 +323,18 @@ class TestFeatureCsv:
         message = f"{path}:2: could not convert string to float: 'x'"
         with pytest.raises(SchemaMismatchError, match=re.escape(message)):
             load_element_features(path)
+
+    @pytest.mark.parametrize("first", ["1", ""], ids=["filled", "unfilled"])
+    def test_symbol_listed_twice_rejected(self, tmp_path, first):
+        # the second row used to replace the first without a word
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "symbol," + ",".join(FEATURE_NAMES) + "\nNb," + ",".join([first] * 32)
+            + "\nTi," + ",".join(["1"] * 32) + "\n\nNb," + ",".join(["2"] * 32) + "\n"
+        )
+        with pytest.raises(SchemaMismatchError) as err:
+            load_element_features(path)
+        assert str(err.value) == f"{path}:5: Nb is listed again (first on line 2)"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
@@ -445,3 +512,56 @@ class TestForest:
             assert digest.hexdigest() == (
                 "6b84b0749a5a15bea1be2f3e28fe3820e5c55f88478c2afb7f3bd1bd9d155f69"
             )
+
+    def test_trees_do_not_depend_on_the_input_layout(self):
+        # C order is copied once; F order and a row slice of a feature-major
+        # matrix (what the CLI passes) are read in place
+        x, y = tie_heavy_matrix()
+        feature_major = np.ascontiguousarray(np.concatenate([x, x[:50]]).T).T
+        inputs = [x, np.asfortranarray(x), feature_major[: len(x)]]
+        assert inputs[2].strides[0] == 8 and not inputs[2].T.flags.c_contiguous
+        digests = []
+        for features in inputs:
+            digest = hashlib.sha256()
+            for t in train_forest(features, y, n_trees=4, seed=3).trees:
+                for a in (t.feature, t.threshold, t.left, t.right, t.leaf_class):
+                    digest.update(a.tobytes())
+            digests.append(digest.hexdigest())
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_row_slice_of_a_feature_major_matrix_is_not_copied(self):
+        # the 4.1 MB fit slice: copied feature-major, the peak above it read
+        # 5.5 MB; in place, the trees' own scratch is about 1.4 MB
+        rng = np.random.default_rng(4)
+        x = np.asfortranarray(rng.integers(0, 4, (2400, 256)).astype(np.float64))
+        fit = x[:2000]
+        y = (fit[:, 5] + rng.integers(0, 2, 2000) > 2).astype(np.int8)
+        tracemalloc.start()
+        try:
+            train_forest(fit, y, n_trees=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fit.nbytes / 2, f"{peak / 1e6:.2f} MB above a {fit.nbytes / 1e6:.1f} MB input"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=12),
+        n=st.integers(min_value=2, max_value=30),
+        block=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_blocked_search_matches_the_whole_matrix(self, levels, n, block, seed):
+        # tie-heavy nodes: most columns take 1 or 2 levels, rows repeat in
+        # the sample, and equal scores across blocks are common
+        rng = np.random.default_rng(seed)
+        xt = np.stack([rng.integers(0, lv, 3 * n) * 0.5 for lv in levels])
+        y = rng.integers(0, 2, 3 * n).astype(np.int8)
+        idx = rng.integers(0, 3 * n, n)
+        got = _best_split_blocked(xt, idx, y[idx], block)
+        want = _best_split(xt[:, idx], y[idx], np.arange(len(levels)))
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0]
+            assert got[1].hex() == want[1].hex() and got[2].hex() == want[2].hex()

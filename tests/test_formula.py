@@ -248,6 +248,24 @@ class TestNormalize:
             normalize({"H": value})
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("value, shown", [
+        (10**5000, "<5001-digit int>"),
+        (10**5000 - 1, "<5000-digit int>"),
+        (-(10**5000), "-<5001-digit int>"),
+    ], ids=["power-of-ten", "all-nines", "negative"])
+    def test_count_too_long_to_print_shows_its_digit_count(self, value, shown):
+        # past the interpreter's int-to-str limit the message itself raised
+        # a bare ValueError that named neither the symbol nor the count
+        with pytest.raises(formula.FormulaError) as info:
+            normalize({"H": value, "O": 1})
+        assert str(info.value) == (
+            f"element H has count {shown} in {{'H': {shown}, 'O': 1}}: "
+            "int too large to convert to float"
+        )
+        with pytest.raises(NonPositiveCountError) as info:
+            normalize({"H": -1, "O": value})
+        assert f"{{'H': -1, 'O': {shown}}}" in str(info.value)
+
     def test_count_that_is_no_number_keeps_float_message(self):
         with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
             normalize({"H": "x"})
