@@ -139,8 +139,8 @@ def load_element_features(path) -> tuple[int, int, dict[str, np.ndarray]]:
     return n_rows, n_unfilled, table
 
 
-# Rows per `_aggregate` call, which bounds its scratch: traced, 1.9 MiB for
-# 256 rows of 4 elements and 2.5 MiB for rows of 6.
+# Input rows per chunk, which bounds the scratch of `aggregate_features_batch`:
+# traced, 1.9 MiB for 256 rows of 4 elements and 2.5 MiB for rows of 6.
 _AGGREGATE_ROWS = 256
 
 
@@ -158,10 +158,11 @@ def aggregate_features_batch(
 
     The result is (n, 256), stored feature-major: the transpose view of a
     C-order (256, n) buffer, so each feature is one contiguous run that
-    `train_forest` reads in place. Rows are aggregated together by element
-    count, `_AGGREGATE_ROWS` rows at a time, straight into that buffer, so
-    the scratch memory above the result does not grow with n. A row's
-    values do not depend on the rows beside it.
+    `train_forest` reads in place. The input is walked `_AGGREGATE_ROWS`
+    rows at a time: a chunk's rows are checked, grouped by element count
+    and aggregated straight into that buffer, and the groups are dropped
+    with the chunk, so the scratch memory above the result does not grow
+    with n. A row's values do not depend on the rows beside it.
 
     An empty composition, a missing element or a feature row of the wrong
     width raises for the first such composition in input order. A missing
@@ -170,37 +171,34 @@ def aggregate_features_batch(
     """
     slot: dict[str, int] = {}  # symbol -> its row in `vectors`
     vectors: list[np.ndarray] = []
-    groups: dict[int, tuple[list, list, list]] = {}  # element count -> (rows, slots, weights)
-    for i, composition in enumerate(compositions):
-        if not composition:
-            raise ValueError("empty composition")
-        symbols = sorted(composition, key=lambda s: ATOMIC_NUMBER.get(s, 0))
-        if any(s not in table for s in symbols):
-            missing = {s for c in compositions for s in c if s not in table}
-            names = sorted(missing, key=lambda s: (ATOMIC_NUMBER.get(s, 0), s))
-            raise MissingElementFeaturesError(f"no feature rows for: {', '.join(names)}")
-        for s in symbols:
-            if s not in slot:
-                vec = np.asarray(table[s], dtype=np.float64)
-                if vec.shape != (N_BASIC,):
-                    raise ShapeMismatchError(
-                        f"feature rows must have {N_BASIC} values, got {vec.size}"
-                    )
-                slot[s] = len(vectors)
-                vectors.append(vec)
-        rows, slots, weights = groups.setdefault(len(symbols), ([], [], []))
-        rows.append(i)
-        slots.append([slot[s] for s in symbols])
-        weights.append([composition[s] for s in symbols])
-
     out = np.empty((N_AGGREGATED, len(compositions)))
-    if vectors:
+    for start in range(0, len(compositions), _AGGREGATE_ROWS):
+        groups: dict[int, tuple[list, list, list]] = {}  # k elements -> (rows, slots, weights)
+        for i, composition in enumerate(compositions[start:start + _AGGREGATE_ROWS], start):
+            if not composition:
+                raise ValueError("empty composition")
+            symbols = sorted(composition, key=lambda s: ATOMIC_NUMBER.get(s, 0))
+            if any(s not in table for s in symbols):
+                missing = {s for c in compositions for s in c if s not in table}
+                names = sorted(missing, key=lambda s: (ATOMIC_NUMBER.get(s, 0), s))
+                raise MissingElementFeaturesError(f"no feature rows for: {', '.join(names)}")
+            for s in symbols:
+                if s not in slot:
+                    vec = np.asarray(table[s], dtype=np.float64)
+                    if vec.shape != (N_BASIC,):
+                        raise ShapeMismatchError(
+                            f"feature rows must have {N_BASIC} values, got {vec.size}"
+                        )
+                    slot[s] = len(vectors)
+                    vectors.append(vec)
+            rows, slots, weights = groups.setdefault(len(symbols), ([], [], []))
+            rows.append(i)
+            slots.append([slot[s] for s in symbols])
+            weights.append([composition[s] for s in symbols])
         stacked = np.stack(vectors)
         for rows, slots, weights in groups.values():
-            rows, slots, w = np.array(rows), np.array(slots), np.array(weights, dtype=np.float64)
-            for start in range(0, len(rows), _AGGREGATE_ROWS):
-                chunk = slice(start, start + _AGGREGATE_ROWS)
-                _aggregate(w[chunk], stacked[slots[chunk]], out, rows[chunk])
+            w = np.array(weights, dtype=np.float64)
+            _aggregate(w, stacked[np.array(slots)], out, np.array(rows))
     return out.T
 
 
@@ -209,7 +207,8 @@ def _aggregate(w: np.ndarray, feats: np.ndarray, out: np.ndarray, rows: np.ndarr
     feature rows `feats` (g, k, 32), elements in atomic-number order, into
     columns `rows` of the feature-major result `out` (256, n). Its scratch
     is a few arrays the size of `feats`; `aggregate_features_batch` passes
-    at most `_AGGREGATE_ROWS` rows."""
+    one element-count group of one input chunk, at most `_AGGREGATE_ROWS`
+    rows."""
     g = w.shape[0]
     wv = w[:, None, :]  # one (1, k) @ (k, 32) product per row: the BLAS call of a lone row
     avg = (wv @ feats)[:, 0]
@@ -255,51 +254,50 @@ class _Tree:
 class ForestModel:
     trees: list[_Tree]
     n_features: int
-    n_trees: int
     seed: int
 
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
-def _best_split(cols: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
-    """Lowest weighted-Gini split over the candidate columns, one per row of
-    `cols` (m, n), for the node's labels `y` (n,).
 
-    Returns (feature, threshold, score) or None when every candidate column
-    is constant on this node. Ties go to the first column in `feature_ids`
-    order, then to the smallest threshold.
+def _best_split(
+    xt: np.ndarray, idx: np.ndarray, y: np.ndarray, features: np.ndarray, block: int
+):
+    """Lowest weighted-Gini split of the node sample `idx` (labels `y`) over
+    the candidate `features` of the feature-major matrix `xt` (d, N),
+    gathering `block` of them at a time.
+
+    Returns (feature, threshold, score) or None when every candidate is
+    constant on this node. Ties go to the first feature in `features`
+    order, then to the smallest threshold: a later block wins only with a
+    strictly lower score.
     """
     n = y.shape[0]
-    # A cut only falls between distinct values, and what it reads there (the
-    # positives at or below it, the midpoint to the next value) does not
-    # depend on the order inside a run of equal values: no stable sort needed.
-    order = np.argsort(cols, axis=1)
-    vs = np.take_along_axis(cols, order, axis=1)
-    cum_pos = np.cumsum(y[order], axis=1)
-    col, cut = np.nonzero(vs[:, :-1] < vs[:, 1:])
-    if cut.size == 0:
-        return None
-    n_l = cut + 1.0
-    n_r = n - n_l
-    pos_l = cum_pos[col, cut]
-    pos_r = cum_pos[0, -1] - pos_l
-    gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
-    gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
-    score = (n_l * gini_l + n_r * gini_r) / n
-    k = int(np.argmin(score))  # row-major: first column, then smallest cut
-    c, i = col[k], cut[k]
-    return int(feature_ids[c]), float((vs[c, i] + vs[c, i + 1]) / 2.0), float(score[k])
-
-
-def _best_split_blocked(xt: np.ndarray, idx: np.ndarray, y: np.ndarray, block: int):
-    """`_best_split` over every feature of `xt` (d, N) on the sample `idx`,
-    gathering `block` features at a time. A later block wins only with a
-    strictly lower score, so ties still go to the first feature, then to
-    the smallest threshold, as over the whole matrix at once."""
     best = None
-    for start in range(0, xt.shape[0], block):
-        stop = min(start + block, xt.shape[0])
-        split = _best_split(xt[start:stop, idx], y, np.arange(start, stop))
-        if split is not None and (best is None or split[2] < best[2]):
-            best = split
+    for start in range(0, len(features), block):
+        ids = features[start:start + block]
+        cols = xt[np.ix_(ids, idx)]
+        # A cut only falls between distinct values, and what it reads there
+        # (the positives at or below it, the midpoint to the next value) does
+        # not depend on the order inside a run of equal values: no stable sort.
+        order = np.argsort(cols, axis=1)
+        vs = np.take_along_axis(cols, order, axis=1)
+        cum_pos = np.cumsum(y[order], axis=1)
+        col, cut = np.nonzero(vs[:, :-1] < vs[:, 1:])
+        if cut.size == 0:
+            continue
+        n_l = cut + 1.0
+        n_r = n - n_l
+        pos_l = cum_pos[col, cut]
+        pos_r = cum_pos[0, -1] - pos_l
+        gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
+        gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
+        score = (n_l * gini_l + n_r * gini_r) / n
+        k = int(np.argmin(score))  # row-major: first feature, then smallest cut
+        if best is None or score[k] < best[2]:
+            c, i = col[k], cut[k]
+            best = int(ids[c]), float((vs[c, i] + vs[c, i + 1]) / 2.0), float(score[k])
     return best
 
 
@@ -312,9 +310,10 @@ def _grow_tree(
     feature set when the sample is uninformative; leaves take the majority
     class, ties to 0.
 
-    `xt` may be a view; each of its feature rows is read in place. A node
-    gathers m features of its sample at a time, the all-feature fallback
-    included."""
+    `xt` may be a view; each of its feature rows is read in place. Every
+    split search goes through `_best_split` in blocks of m features: once
+    over the m sampled ones and, only if none of them cuts the node, again
+    over all d."""
     d = xt.shape[0]
     m = max(1, int(round(np.sqrt(d))))
     feature, threshold, left, right, leaf_class = [], [], [], [], []
@@ -337,9 +336,9 @@ def _grow_tree(
             leaf_class[node] = 1 if pos else 0
             continue
         cand = rng.choice(d, size=m, replace=False) if m < d else np.arange(d)
-        split = _best_split(xt[np.ix_(cand, idx)], ys, cand)
+        split = _best_split(xt, idx, ys, cand, m)
         if split is None and m < d:
-            split = _best_split_blocked(xt, idx, ys, m)
+            split = _best_split(xt, idx, ys, np.arange(d), m)
         if split is None:  # duplicate rows with conflicting labels
             leaf_class[node] = 1 if 2 * pos > len(idx) else 0
             continue
@@ -416,7 +415,7 @@ def train_forest(
             trees = list(pool.map(build, rngs))
     else:
         trees = [build(rng) for rng in rngs]
-    return ForestModel(trees, x.shape[1], n_trees, seed)
+    return ForestModel(trees, x.shape[1], seed)
 
 
 def predict_forest(model: ForestModel, features):

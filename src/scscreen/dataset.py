@@ -73,9 +73,15 @@ class MaterialRecord:
 @dataclass
 class IngestReport:
     records: list[MaterialRecord]
-    n_rows: int
-    n_parsed: int
     n_flagged: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.records)
+
+    @property
+    def n_parsed(self) -> int:
+        return self.n_rows - self.n_flagged
 
 
 def make_record(
@@ -157,7 +163,7 @@ def ingest_csv(path, source: Source) -> IngestReport:
         if rec.flagged_reason is not None:
             n_flagged += 1
         records.append(rec)
-    return IngestReport(records, len(records), len(records) - n_flagged, n_flagged)
+    return IngestReport(records, n_flagged)
 
 
 def _cell(value) -> str:

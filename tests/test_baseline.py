@@ -20,7 +20,6 @@ from scscreen.baseline import (
     SingleClassInputError,
     _AGGREGATE_ROWS,
     _best_split,
-    _best_split_blocked,
     _grow_tree,
     _tree_votes,
     aggregate_features_batch,
@@ -223,7 +222,10 @@ class TestAggregateLayout:
         assert out.shape == (5, N_AGGREGATED) and out.T.flags.c_contiguous
 
     def test_groups_larger_than_a_chunk_match_the_reference(self):
-        # one group of 3-element rows spans three chunks, the last one partial
+        # 549 three-element rows, more than two chunks' worth, with 40 others
+        # interleaved at the start: the first input chunk splits into four
+        # element-count groups, and the three-element rows are aggregated in
+        # three chunks, the last one partial
         rng = np.random.default_rng(1)
         comps, table = random_batch(rng, 2 * _AGGREGATE_ROWS + 37, sizes=(3,))
         extra, _ = random_batch(rng, 40, sizes=(1, 2, 5))
@@ -242,18 +244,24 @@ class TestAggregateLayout:
         assert permuted.tobytes() == out[perm].tobytes()
 
     def test_scratch_above_the_result_is_bounded(self):
-        # 6,144 rows of 4 elements make a 12.6 MB result. Chunked, the
-        # scratch above it is about 4 MB: the per-row group lists and one
-        # chunk's arrays. Whole groups concatenated afterwards took about 60 MB.
-        comps, table = random_batch(np.random.default_rng(2), 6144, sizes=(4,))
-        tracemalloc.start()
-        try:
-            out = aggregate_features_batch(comps, table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        above = peak - out.nbytes
-        assert above < out.nbytes / 2, f"{above / 1e6:.2f} MB above the result"
+        # 6,144 rows of 4 elements make a 12.6 MB result, 24,576 rows 50.3 MB.
+        # The scratch above either should be one input chunk's lists and
+        # arrays, about 2.3 MB; group lists kept over the whole input add
+        # about 300 B a row (5.6 MB between the two sizes).
+        above = []
+        for n in (6144, 4 * 6144):
+            comps, table = random_batch(np.random.default_rng(2), n, sizes=(4,))
+            tracemalloc.start()
+            try:
+                out = aggregate_features_batch(comps, table)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            above.append(peak - out.nbytes)
+            assert above[-1] < out.nbytes / 2, f"{above[-1] / 1e6:.2f} MB above the result"
+            del comps, out
+        grown = above[1] - above[0]
+        assert grown < 2**17, f"{grown / 1e6:.2f} MB more scratch at 4x the rows"
 
 
 class TestFeatureCsv:
@@ -431,7 +439,7 @@ class TestForest:
                               np.arange(2), np.random.default_rng(0))
         leaf_neg = _grow_tree(np.array([[0.0, 0.0]]), np.array([0, 0], dtype=np.int8),
                               np.arange(2), np.random.default_rng(0))
-        tied = ForestModel([leaf_pos, leaf_neg], n_features=1, n_trees=2, seed=0)
+        tied = ForestModel([leaf_pos, leaf_neg], n_features=1, seed=0)
         cls, frac = predict_forest(tied, np.array([[5.0]]))
         assert frac[0] == 0.5 and cls[0] == 0
 
@@ -490,7 +498,9 @@ class TestForest:
         dup = rng.integers(0, n, n_dup)
         x, y = np.concatenate([x, x[dup]]), np.concatenate([y, 1 - y[dup]])
         feature_ids = rng.permutation(40)[: len(levels)]
-        got = _best_split(np.ascontiguousarray(x.T), y, feature_ids)
+        xt = np.zeros((40, len(x)))
+        xt[feature_ids] = x.T
+        got = _best_split(xt, np.arange(len(x)), y, feature_ids, len(feature_ids))
         want = reference_best_split(x, y, feature_ids)
         if want is None:
             assert got is None
@@ -558,8 +568,9 @@ class TestForest:
         xt = np.stack([rng.integers(0, lv, 3 * n) * 0.5 for lv in levels])
         y = rng.integers(0, 2, 3 * n).astype(np.int8)
         idx = rng.integers(0, 3 * n, n)
-        got = _best_split_blocked(xt, idx, y[idx], block)
-        want = _best_split(xt[:, idx], y[idx], np.arange(len(levels)))
+        features = np.arange(len(levels))
+        got = _best_split(xt, idx, y[idx], features, block)
+        want = _best_split(xt, idx, y[idx], features, len(levels))
         if want is None:
             assert got is None
         else:

@@ -1,10 +1,11 @@
-"""Every demo script imports against the current API, and the three workflow
-demos run.
+"""Every demo script imports against the current API, and runs.
 
 The demos run their work only under `__main__`, so importing one checks its
-imports and module-level code without training anything. The workflow demos
-are the only callers of the three screening workflows outside the tests, so
-their `main()` is run too (a few seconds each).
+imports and module-level code without running anything. Running `main()`
+checks the rest: the three workflow demos are the only callers of the
+screening workflows outside the tests, and `forest_baseline` the only
+caller of the forest outside the CLI and the tests. Together the six take
+several seconds.
 """
 
 import importlib.util
@@ -14,7 +15,6 @@ import pytest
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
-WORKFLOW_DEMOS = ["candidate_screen", "temporal_eval", "family_discovery"]
 
 
 def load(path):
@@ -33,7 +33,7 @@ def test_demo_imports(path):
     assert callable(load(path).main)
 
 
-@pytest.mark.parametrize("name", WORKFLOW_DEMOS)
-def test_workflow_demo_runs(name, capsys):
-    load(DEMO_DIR / f"{name}.py").main()
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    load(path).main()
     assert capsys.readouterr().out.strip()
